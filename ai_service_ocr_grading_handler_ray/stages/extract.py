@@ -26,11 +26,7 @@ import pyarrow as pa
 
 from ..config import DEFAULT_POLICY, get_policy
 from ..payloads import decode_pdf_glyphs
-from .html_extract import (
-    extract_html_fast,
-    extract_html_fused,
-    extract_html_with_title,
-)
+from .html_extract import extract_html_fused, extract_html_with_title
 from .ocr import OcrEngine
 from .pdf_layout import parse_pdf_layout
 
@@ -64,13 +60,12 @@ class ExtractActor:
         self.task = task
         self._override = (min_len, max_link_pct)
         self._policy_cache: dict[str, tuple[int, int]] = {}
-        # "fused" = single-function tokenizer+classifier (fewest
-        # allocations — default); "fast" = regex scanner driving the
-        # collector; "stdlib" = html.parser tokenizer.  Byte-identical
-        # outputs (equivalence-tested over the corpus).
+        # "fused" (default) = the production engine: the native C kernel
+        # (html_native.c, built once per host) with its Python body as
+        # fallback.  "stdlib" = html.parser tokenizer, the independent
+        # oracle.  Same output on the corpus.
         self._extract_html = {
             "fused": extract_html_fused,
-            "fast": extract_html_fast,
             "stdlib": extract_html_with_title,
         }[html_engine]
 

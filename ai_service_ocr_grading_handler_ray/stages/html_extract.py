@@ -7,8 +7,18 @@ This is the engine's analogue of the reference's Stage-A extraction
 ``ocr_llm_calling_modules.py:49-79``) — re-expressed as a deterministic
 local DOM heuristic instead of a remote vision LLM (SURVEY.md T5).
 
-Design for byte-identical output (SURVEY.md §7.4):
-- stdlib ``html.parser`` (no lxml in the container; version-stable),
+Engines:
+- ``extract_html_fused`` (production): one fused tokenizer + classifier,
+  run by the native kernel ``html_native.c`` (built on first use, see
+  ``html_native.py``) or, where it cannot be built, by its Python body
+  ``extract_html_fused_py``.  The two give identical output on any input.
+- ``extract_html_with_title`` (oracle): stdlib ``html.parser`` driving
+  ``_BlockCollector``.  It matches the production engine on the page
+  corpus, not on every input: html.parser does not treat ``<title>`` as
+  RCDATA, so pathological unterminated titles differ.
+
+Design for deterministic output (SURVEY.md §7.4):
+- stdlib tokenizers (no lxml in the container; version-stable),
 - integer-arithmetic density thresholds (no float ties),
 - whitespace normalization = ``" ".join(text.split())`` per block,
 - block order = document order; output = kept blocks joined by "\\n\\n".
@@ -24,8 +34,11 @@ Classification rules (applied per flat block, in order):
 
 from __future__ import annotations
 
+import html as _html
 import re
 from html.parser import HTMLParser
+
+from . import html_native
 
 # tags that delimit text blocks
 _BLOCK_TAGS = frozenset(
@@ -39,10 +52,12 @@ _SKIP_TAGS = frozenset("script style noscript template svg head iframe".split())
 _BOILER_TAGS = frozenset("nav header footer aside".split())
 _VOID_TAGS = frozenset("br hr img input meta link area base col embed source track wbr".split())
 
+_BOILER_WORDS = (
+    "nav menu footer header sidebar banner breadcrumb comment share social "
+    "related promo ad ads advert cookie popup widget"
+).split()
 _BOILER_ATTR = re.compile(
-    r"(?:^|[\s_-])(nav|menu|footer|header|sidebar|banner|breadcrumb|comment|"
-    r"share|social|related|promo|ad|ads|advert|cookie|popup|widget)(?:$|[\s_-])",
-    re.IGNORECASE,
+    r"(?:^|[\s_-])(" + "|".join(_BOILER_WORDS) + r")(?:$|[\s_-])", re.IGNORECASE
 )
 
 
@@ -183,26 +198,11 @@ def extract_html_with_title(
     return "\n\n".join(kept), len(kept), title
 
 
-def extract_html(
-    payload: bytes | str,
-    min_len: int = 25,
-    max_link_pct: int = 33,
-) -> tuple[str, int]:
-    """Back-compat wrapper: ``(extracted_text, n_kept_blocks)``."""
-    text, n, _title = extract_html_with_title(payload, min_len, max_link_pct)
-    return text, n
-
-
-# --- fast tokenizer path ----------------------------------------------------
+# --- production engine: fused tokenizer + block classifier -------------------
 #
-# html.parser spends ~1.5 ms/page in its char-by-char goahead loop; this
-# regex scanner drives the SAME _BlockCollector callbacks ~4-5x faster.
-# Equivalence with the stdlib path is asserted over the whole synthetic
-# corpus in tests (byte-identical extracted text) and both paths are total
-# on arbitrary bytes.  Block classification logic is shared — only
-# tokenization differs.
-
-import html as _html
+# One function tokenizes with regexes (no per-event method calls, no Block
+# objects) and classifies blocks as it goes.  html_native.c implements
+# these regexes and this state machine in C.
 
 _TAG_RE = re.compile(
     r"<(?:"
@@ -218,77 +218,14 @@ _ATTR_RE = re.compile(
 )
 _RAWTEXT = frozenset(("script", "style", "textarea"))
 _ATTR_HINT = re.compile(r"\b(?:id|class|role)\s*=", re.IGNORECASE)
-
-
-# tags whose start/end callbacks can change collector state; any other
-# tag WITHOUT a boilerplate-attr hint is a no-op in the collector, so the
-# scanner skips the callback entirely (most inline tags: span/b/i/em/...)
-_EVENT_TAGS = frozenset(
-    _BLOCK_TAGS | _SKIP_TAGS | _VOID_TAGS | _RAWTEXT | {"a", "title"}
-)
-
-
-def _scan_html(doc: str, coll: _BlockCollector) -> None:
-    """Emit start/end/data events into the collector (fast path)."""
-    pos = 0
-    n = len(doc)
-    handle_data = coll.handle_data
-    search = _TAG_RE.search
-    event_tags = _EVENT_TAGS
-    while pos < n:
-        m = search(doc, pos)
-        if m is None:
-            data = doc[pos:]
-            if data:
-                handle_data(_html.unescape(data) if "&" in data else data)
-            break
-        if m.start() > pos:
-            data = doc[pos : m.start()]
-            handle_data(_html.unescape(data) if "&" in data else data)
-        pos = m.end()
-        closer, tag, rawattrs = m.group(1, 2, 3)
-        if tag is None:
-            continue  # comment / doctype / PI
-        if not tag.islower():
-            tag = tag.lower()
-        if closer:
-            if tag in event_tags:
-                coll.handle_endtag(tag)
-            continue
-        attrs: list[tuple[str, str | None]] = []
-        if rawattrs and _ATTR_HINT.search(rawattrs):
-            for am in _ATTR_RE.finditer(rawattrs):
-                val = am.group(2) or am.group(3) or am.group(4) or ""
-                attrs.append((am.group(1).lower(), val))
-        if tag in event_tags or attrs:
-            coll.handle_starttag(tag, attrs)
-        self_closing = rawattrs is not None and rawattrs.rstrip().endswith("/")
-        if self_closing and tag not in _VOID_TAGS:
-            if tag in event_tags or attrs:
-                coll.handle_endtag(tag)
-            continue
-        if tag in _RAWTEXT:
-            # raw-text element: content runs to the matching close tag
-            cm = _CLOSE_RE[tag].search(doc, pos)
-            if cm is None:
-                coll.handle_endtag(tag)  # unterminated: drop rest as raw
-                break
-            pos = cm.end()
-            coll.handle_endtag(tag)
-        elif tag == "title":
-            # collector handles title via _in_title; feed its text directly
-            cm = _CLOSE_RE["title"].search(doc, pos)
-            text = doc[pos : cm.start()] if cm else doc[pos:]
-            coll.handle_data(_html.unescape(text) if "&" in text else text)
-            pos = cm.end() if cm else n
-            coll.handle_endtag("title")
-
-
-# precompiled raw-text close patterns (the scanner previously recompiled
-# these per occurrence)
 _CLOSE_RE = {
     t: re.compile(rf"</{t}\s*>", re.IGNORECASE) for t in (*_RAWTEXT, "title")
 }
+# tags whose start/end can change the classifier state; any other tag
+# without a boilerplate-attr hint is a no-op (most inline tags)
+_EVENT_TAGS = frozenset(
+    _BLOCK_TAGS | _SKIP_TAGS | _VOID_TAGS | _RAWTEXT | {"a", "title"}
+)
 
 
 def extract_html_fused(
@@ -296,12 +233,24 @@ def extract_html_fused(
     min_len: int = 25,
     max_link_pct: int = 33,
 ) -> tuple[str, int, str]:
-    """Fully-fused twin of extract_html_fast: tokenizer + block state
-    machine + classification in ONE function with local state — no
-    per-event method calls, no Block objects, no per-block list.  At 32-way
-    concurrency the extract stage is DRAM-bound (VERDICT r01 #6); this
-    path exists to cut Python-object allocation traffic.  Byte-identical
-    to the other two engines (equivalence-tested over the corpus)."""
+    """Production HTML engine: ``(extracted_text, n_kept_blocks, title)``.
+
+    Runs the native kernel (html_native.c), built on first use; falls back
+    to ``extract_html_fused_py`` when it cannot be built.  Both give the
+    same output."""
+    kernel = html_native.load()
+    if kernel is not None and kernel.accepts(min_len, max_link_pct):
+        return kernel(payload, min_len, max_link_pct)
+    return extract_html_fused_py(payload, min_len, max_link_pct)
+
+
+def extract_html_fused_py(
+    payload: bytes | str,
+    min_len: int = 25,
+    max_link_pct: int = 33,
+) -> tuple[str, int, str]:
+    """Python body of ``extract_html_fused``: the reference for the native
+    kernel and the fallback where it cannot be built."""
     if isinstance(payload, bytes):
         doc = payload.decode("utf-8", errors="replace")
     else:
@@ -309,7 +258,6 @@ def extract_html_fused(
 
     kept: list[str] = []
     title_parts: list[str] = []
-    in_title = False
     skip_depth = 0
     boiler_depth = 0
     attr_stack: list[str] = []
@@ -318,204 +266,113 @@ def extract_html_fused(
     link_chars = 0
     cur_boiler = False
 
+    def flush() -> None:
+        """Close the current block: keep it if it passes the rules."""
+        nonlocal link_chars
+        if parts:
+            text = " ".join("".join(parts).split())
+            if text and not cur_boiler:
+                tl = len(text)
+                if tl >= min_len and link_chars * 100 <= tl * max_link_pct:
+                    kept.append(text)
+            parts.clear()
+            link_chars = 0
+
+    def end_tag(tag: str) -> None:
+        """End-tag chain (mirrors _BlockCollector.handle_endtag)."""
+        nonlocal skip_depth, link_depth, boiler_depth, cur_boiler
+        if tag == "title":
+            return
+        if tag in _SKIP_TAGS:
+            if skip_depth:
+                skip_depth -= 1
+            return
+        if skip_depth:
+            return
+        if tag == "a" and link_depth:
+            link_depth -= 1
+        if tag in _BLOCK_TAGS:
+            flush()
+            if tag in _BOILER_TAGS and boiler_depth:
+                boiler_depth -= 1
+            if attr_stack and attr_stack[-1] == tag:
+                attr_stack.pop()
+            cur_boiler = boiler_depth > 0 or bool(attr_stack)
+
     pos = 0
     n = len(doc)
     search = _TAG_RE.search
     unescape = _html.unescape
-    event_tags = _EVENT_TAGS
-    block_tags = _BLOCK_TAGS
-    skip_tags = _SKIP_TAGS
-    void_tags = _VOID_TAGS
-    boiler_tags = _BOILER_TAGS
-
     while pos < n:
         m = search(doc, pos)
+        st = n if m is None else m.start()
+        if st > pos and not skip_depth:
+            d = unescape(doc[pos:st])
+            parts.append(d)
+            if link_depth:
+                link_chars += len(" ".join(d.split()))
         if m is None:
-            data = doc[pos:]
-            if data:
-                if in_title:
-                    title_parts.append(unescape(data) if "&" in data else data)
-                elif not skip_depth:
-                    d = unescape(data) if "&" in data else data
-                    parts.append(d)
-                    if link_depth:
-                        link_chars += len(" ".join(d.split()))
             break
-        st = m.start()
-        if st > pos:
-            data = doc[pos:st]
-            if in_title:
-                title_parts.append(unescape(data) if "&" in data else data)
-            elif not skip_depth:
-                d = unescape(data) if "&" in data else data
-                parts.append(d)
-                if link_depth:
-                    link_chars += len(" ".join(d.split()))
         pos = m.end()
         closer, tag, rawattrs = m.group(1, 2, 3)
         if tag is None:
             continue  # comment / doctype / PI
         if not tag.islower():
             tag = tag.lower()
-
         if closer:
-            if tag not in event_tags:
-                continue
-            # --- end-tag chain (mirrors handle_endtag) ---
-            if tag == "title":
-                in_title = False
-                continue
-            if tag in skip_tags:
-                if skip_depth:
-                    skip_depth -= 1
-                continue
-            if skip_depth:
-                continue
-            if tag == "a":
-                if link_depth:
-                    link_depth -= 1
-            if tag in block_tags:
-                if parts:
-                    if any(p and not p.isspace() for p in parts):
-                        text = " ".join("".join(parts).split())
-                        if text and not cur_boiler:
-                            tl = len(text)
-                            if tl >= min_len and link_chars * 100 <= tl * max_link_pct:
-                                kept.append(text)
-                    parts = []
-                    link_chars = 0
-                if tag in boiler_tags:
-                    if boiler_depth:
-                        boiler_depth -= 1
-                if attr_stack and attr_stack[-1] == tag:
-                    attr_stack.pop()
-                cur_boiler = boiler_depth > 0 or bool(attr_stack)
+            if tag in _EVENT_TAGS:
+                end_tag(tag)
             continue
 
-        # --- start-tag chain (mirrors handle_starttag) ---
+        # --- start-tag chain (mirrors _BlockCollector.handle_starttag) ---
+        if tag in _VOID_TAGS:
+            if tag == "br" and not skip_depth:
+                parts.append(" ")
+            continue
         hint = rawattrs and _ATTR_HINT.search(rawattrs)
-        if tag in event_tags or hint:
-            if tag in void_tags:
-                if tag == "br" and not skip_depth:
-                    parts.append(" ")
-                continue
-            if tag == "title":
-                in_title = True
-            elif tag in skip_tags:
-                skip_depth += 1
-            elif skip_depth:
-                pass
-            else:
-                if tag == "a":
-                    link_depth += 1
-                attr_boiler = False
-                if hint:
-                    for am in _ATTR_RE.finditer(rawattrs):
-                        if am.group(1).lower() in ("id", "class", "role"):
-                            val = am.group(2) or am.group(3) or am.group(4) or ""
-                            if val and _BOILER_ATTR.search(val):
-                                attr_boiler = True
-                                break
-                if tag in block_tags:
-                    if parts:
-                        if any(p and not p.isspace() for p in parts):
-                            text = " ".join("".join(parts).split())
-                            if text and not cur_boiler:
-                                tl = len(text)
-                                if tl >= min_len and link_chars * 100 <= tl * max_link_pct:
-                                    kept.append(text)
-                        parts = []
-                        link_chars = 0
-                    if tag in boiler_tags:
-                        boiler_depth += 1
-                    if attr_boiler:
-                        attr_stack.append(tag)
-                    cur_boiler = boiler_depth > 0 or bool(attr_stack)
-                elif attr_boiler:
-                    cur_boiler = True
-
-        if rawattrs is not None and rawattrs.rstrip().endswith("/") and tag not in void_tags:
-            # self-closing non-void: run the end-tag chain inline
-            if tag in event_tags:
-                if tag == "title":
-                    in_title = False
-                elif tag in skip_tags:
-                    if skip_depth:
-                        skip_depth -= 1
-                elif skip_depth:
-                    pass
-                else:
-                    if tag == "a":
-                        if link_depth:
-                            link_depth -= 1
-                    if tag in block_tags:
-                        if parts:
-                            if any(p and not p.isspace() for p in parts):
-                                text = " ".join("".join(parts).split())
-                                if text and not cur_boiler:
-                                    tl = len(text)
-                                    if tl >= min_len and link_chars * 100 <= tl * max_link_pct:
-                                        kept.append(text)
-                            parts = []
-                            link_chars = 0
-                        if tag in boiler_tags:
-                            if boiler_depth:
-                                boiler_depth -= 1
-                        if attr_stack and attr_stack[-1] == tag:
-                            attr_stack.pop()
-                        cur_boiler = boiler_depth > 0 or bool(attr_stack)
+        if tag == "title":
+            pass
+        elif tag in _SKIP_TAGS:
+            skip_depth += 1
+        elif not skip_depth and (tag in _EVENT_TAGS or hint):
+            if tag == "a":
+                link_depth += 1
+            attr_boiler = False
+            if hint:
+                for am in _ATTR_RE.finditer(rawattrs):
+                    if am.group(1).lower() in ("id", "class", "role"):
+                        val = am.group(2) or am.group(3) or am.group(4) or ""
+                        if val and _BOILER_ATTR.search(val):
+                            attr_boiler = True
+                            break
+            if tag in _BLOCK_TAGS:
+                flush()
+                if tag in _BOILER_TAGS:
+                    boiler_depth += 1
+                if attr_boiler:
+                    attr_stack.append(tag)
+                cur_boiler = boiler_depth > 0 or bool(attr_stack)
+            elif attr_boiler:
+                cur_boiler = True
+        if tag not in _EVENT_TAGS:
             continue
-        if tag in _RAWTEXT:
+
+        if rawattrs.rstrip().endswith("/"):
+            end_tag(tag)  # self-closing
+        elif tag in _RAWTEXT:
             cm = _CLOSE_RE[tag].search(doc, pos)
-            # end-tag chain: script/style are skip tags (decrement);
-            # textarea is raw-text only (its end is a collector no-op)
-            if tag in skip_tags and skip_depth:
+            # script/style are skip tags (their start incremented);
+            # textarea is raw-text only
+            if tag in _SKIP_TAGS and skip_depth:
                 skip_depth -= 1
             if cm is None:
                 break
             pos = cm.end()
         elif tag == "title":
             cm = _CLOSE_RE["title"].search(doc, pos)
-            text = doc[pos : cm.start()] if cm else doc[pos:]
-            title_parts.append(unescape(text) if "&" in text else text)
+            title_parts.append(unescape(doc[pos : cm.start()] if cm else doc[pos:]))
             pos = cm.end() if cm else n
-            in_title = False
 
-    # final flush (parser close)
-    if parts and any(p and not p.isspace() for p in parts):
-        text = " ".join("".join(parts).split())
-        if text and not cur_boiler:
-            tl = len(text)
-            if tl >= min_len and link_chars * 100 <= tl * max_link_pct:
-                kept.append(text)
-
+    flush()  # parser close
     title = " ".join("".join(title_parts).split())
-    return "\n\n".join(kept), len(kept), title
-
-
-def extract_html_fast(
-    payload: bytes | str,
-    min_len: int = 25,
-    max_link_pct: int = 33,
-) -> tuple[str, int, str]:
-    """Fast-tokenizer twin of extract_html_with_title (same outputs)."""
-    if isinstance(payload, bytes):
-        doc = payload.decode("utf-8", errors="replace")
-    else:
-        doc = payload
-    coll = _BlockCollector()
-    _scan_html(doc, coll)
-    coll._flush()
-    kept: list[str] = []
-    for blk in coll.blocks:
-        if blk.boiler_ctx:
-            continue
-        text = blk.text  # normalized once at flush
-        nchars = len(text)
-        if nchars < min_len:
-            continue
-        if blk.link_chars * 100 > nchars * max_link_pct:
-            continue
-        kept.append(text)
-    title = " ".join("".join(coll.title_parts).split())
     return "\n\n".join(kept), len(kept), title

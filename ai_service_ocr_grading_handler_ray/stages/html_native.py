@@ -1,0 +1,236 @@
+"""Build, cache and call the native HTML kernel (``html_native.c``).
+
+The kernel is the production body of ``html_extract.extract_html_fused``.
+It is compiled once per host, on first use, into a shared library that
+cffi opens in ABI mode.  The library lives in
+``$XDG_CACHE_HOME/ai_service_ocr_grading_handler_ray/`` (``~/.cache/...``
+when the variable is unset) under a name keyed by the sha256 of the C
+source, this file, the generated tables, the cffi version, the compiler
+version and the Python ABI tag.  Deleting that directory forces a rebuild.
+
+Each build writes a temporary file in the cache directory and
+``os.replace``-s it into place, so processes that build at the same time
+cannot see a half-written library.  When there is no compiler or the
+cache cannot be written, ``load()`` logs one warning and returns ``None``;
+the caller then runs the Python engine.
+"""
+
+from __future__ import annotations
+
+import functools
+import hashlib
+import html
+import html.entities
+import logging
+import os
+import re
+import shutil
+import subprocess
+import sysconfig
+import tempfile
+import unicodedata
+
+import cffi
+
+_HERE = os.path.dirname(os.path.abspath(__file__))
+SOURCE = os.path.join(_HERE, "html_native.c")
+CFLAGS = ("-O2", "-std=gnu99", "-fPIC", "-shared", "-Wall", "-Wextra", "-Werror")
+_CDEF = """
+typedef struct {
+    char *text;
+    size_t text_len;
+    char *title;
+    size_t title_len;
+    int64_t n_kept;
+} hx_result;
+int hx_extract(const char *doc, size_t n, int64_t min_len, int64_t max_link_pct, hx_result *res);
+void hx_free(hx_result *res);
+"""
+_I64 = 2**63
+
+log = logging.getLogger(__name__)
+
+
+def cache_dir() -> str:
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "ai_service_ocr_grading_handler_ray")
+
+
+def compiler() -> str | None:
+    return shutil.which("cc") or shutil.which("gcc")
+
+
+# --- generated tables (html_native_tables.h) --------------------------------
+
+
+def _c_bytes(b: bytes) -> str:
+    return '"' + "".join(f"\\{c:03o}" for c in b) + '"'
+
+
+def _c_u32(name: str, xs: list[int]) -> str:
+    body = ",".join(str(x) for x in xs) or "0"
+    return f"static const uint32_t {name}[] = {{{body}}};\n#define {name.replace('HX_', 'HX_N_')} {len(xs)}u\n"
+
+
+def _data_tables() -> str:
+    """Tag sets, boiler words and the character-reference tables."""
+    from . import html_extract as hx  # html_extract imports this module
+
+    flags = {"HX_BLOCK": hx._BLOCK_TAGS, "HX_SKIP": hx._SKIP_TAGS, "HX_BOILER": hx._BOILER_TAGS,
+             "HX_VOID": hx._VOID_TAGS, "HX_RAWTEXT": hx._RAWTEXT,
+             "HX_A": {"a"}, "HX_TITLE": {"title"}, "HX_BR": {"br"}}
+    tags = sorted(hx._EVENT_TAGS)
+    out = ["static const hx_tag HX_TAGS[] = {\n"]
+    for t in tags:
+        f = "|".join(k for k, v in flags.items() if t in v)
+        out.append(f'    {{"{t}", {len(t)}, {f}}},\n')
+    out.append(f"}};\n#define HX_N_TAGS {len(tags)}u\n#define HX_TAG_MAX {max(map(len, tags))}\n")
+
+    words = hx._BOILER_WORDS
+    out.append("static const char *const HX_BOILER_WORDS[] = {"
+               + ",".join(f'"{w}"' for w in words) + "};\n")
+    out.append(f"#define HX_N_BOILER_WORDS {len(words)}u\n#define HX_BOILER_WORD_MAX {max(map(len, words))}\n")
+
+    ents = sorted((k.encode(), v.encode()) for k, v in html.entities.html5.items())
+    out.append("static const hx_entity HX_ENTITIES[] = {\n")
+    out.extend(f"    {{{_c_bytes(k)}, {len(k)}, {_c_bytes(v)}, {len(v)}}},\n" for k, v in ents)
+    out.append(f"}};\n#define HX_N_ENTITIES {len(ents)}u\n")
+
+    refs = sorted(html._invalid_charrefs.items())
+    out.append("static const hx_charref HX_INVALID_CHARREFS[] = {\n")
+    out.extend(f"    {{{cp}u, {_c_bytes(v.encode())}, {len(v.encode())}}},\n" for cp, v in refs)
+    out.append(f"}};\n#define HX_N_INVALID_CHARREFS {len(refs)}u\n")
+    out.append(_c_u32("HX_INVALID_CODEPOINTS", sorted(html._invalid_codepoints)))
+    return "".join(out)
+
+
+def _unicode_tables() -> str:
+    """str.isspace, regex \\w and the non-ASCII code points re.IGNORECASE
+    matches to ASCII letters, from this Python's Unicode database.  Slow
+    (~0.5 s), so it runs only when building; the cache key carries
+    ``unicodedata.unidata_version`` instead."""
+    everything = "".join(map(chr, range(0x110000)))
+    spaces = [ord(c) for c in everything if c.isspace()]
+    word = [ord(c) for c in re.findall(r"\w", everything)]
+    ascii_class = [(1 if c in spaces else 0) | (2 if c in word[:128] else 0) for c in range(128)]
+    ranges: list[list[int]] = []
+    for cp in word:
+        if cp < 128:
+            continue
+        if ranges and ranges[-1][1] == cp - 1:
+            ranges[-1][1] = cp
+        else:
+            ranges.append([cp, cp])
+    folds = [(ord(c), letter) for letter in "abcdefghijklmnopqrstuvwxyz"
+             for c in re.findall(letter, everything, re.IGNORECASE) if ord(c) >= 128]
+    return "".join([
+        "static const unsigned char HX_ASCII[128] = {" + ",".join(map(str, ascii_class)) + "};\n",
+        _c_u32("HX_SPACES", [c for c in spaces if c >= 128]),
+        "static const hx_range HX_WORD[] = {" + ",".join(f"{{{a}u,{b}u}}" for a, b in ranges) + "};\n",
+        f"#define HX_N_WORD {len(ranges)}u\n",
+        "static const hx_fold HX_FOLDS[] = {" + ",".join(f"{{{cp}u,'{ch}'}}" for cp, ch in folds) + "};\n",
+        f"#define HX_N_FOLDS {len(folds)}u\n",
+    ])
+
+
+def cache_key(cc: str) -> str:
+    version = subprocess.run([cc, "--version"], capture_output=True, text=True, timeout=60,
+                             check=True).stdout
+    h = hashlib.sha256()
+    for path in (SOURCE, __file__):
+        with open(path, "rb") as f:
+            h.update(f.read())
+    for part in (_data_tables(), unicodedata.unidata_version, cffi.__version__, version,
+                 str(sysconfig.get_config_var("SOABI"))):
+        h.update(b"\0" + part.encode())
+    return h.hexdigest()
+
+
+def build(so_path: str, cc: str, cflags: tuple[str, ...] = CFLAGS) -> None:
+    """Compile the kernel to ``so_path``, atomically."""
+    directory = os.path.dirname(os.path.abspath(so_path))
+    with tempfile.TemporaryDirectory(dir=directory, prefix=".build-") as tmp:
+        with open(os.path.join(tmp, "html_native_tables.h"), "w") as f:
+            f.write(_data_tables() + _unicode_tables())
+        out = os.path.join(tmp, "kernel.so")
+        subprocess.run([cc, *cflags, "-I", tmp, "-o", out, SOURCE],
+                       capture_output=True, text=True, timeout=600, check=True)
+        with open(out, "rb") as f:
+            digest = hashlib.sha256(f.read()).digest()
+        with open(out, "ab") as f:  # the loader ignores bytes past the ELF image
+            f.write(digest)
+        os.replace(out, so_path)
+
+
+def _intact(so_path: str) -> bool:
+    """The library ends with the sha256 of the rest: it is whole.  dlopen
+    of a truncated library can fault instead of failing."""
+    try:
+        with open(so_path, "rb") as f:
+            data = f.read()
+    except FileNotFoundError:
+        return False
+    return len(data) > 32 and hashlib.sha256(data[:-32]).digest() == data[-32:]
+
+
+class NativeKernel:
+    """The compiled kernel, callable like ``extract_html_fused``."""
+
+    def __init__(self, so_path: str) -> None:
+        self._ffi = ffi = cffi.FFI()
+        ffi.cdef(_CDEF)
+        self._lib = ffi.dlopen(so_path)
+
+    def __call__(self, payload: bytes | str, min_len: int, max_link_pct: int) -> tuple[str, int, str]:
+        if isinstance(payload, bytes):
+            buf = payload.decode("utf-8", errors="replace").encode("utf-8")
+        else:
+            buf = payload.encode("utf-8", errors="surrogatepass")
+        ffi, lib = self._ffi, self._lib
+        res = ffi.new("hx_result *")
+        try:
+            if lib.hx_extract(buf, len(buf), min_len, max_link_pct, res) != 0:
+                raise MemoryError("html_native: out of memory")
+            text = ffi.unpack(res.text, res.text_len).decode("utf-8", errors="surrogatepass")
+            title = ffi.unpack(res.title, res.title_len).decode("utf-8", errors="surrogatepass")
+            return text, res.n_kept, title
+        finally:
+            lib.hx_free(res)
+
+    @staticmethod
+    def accepts(min_len: int, max_link_pct: int) -> bool:
+        """Thresholds the C int64 parameters can carry."""
+        return -_I64 <= min_len < _I64 and -_I64 <= max_link_pct < _I64
+
+
+def library_path(directory: str, cc: str) -> str:
+    return os.path.join(directory, f"html_native-{cache_key(cc)[:32]}.so")
+
+
+def open_kernel(directory: str) -> NativeKernel:
+    """Load the cached kernel from ``directory``, building it when it is
+    missing, cut short or cannot be loaded."""
+    cc = compiler()
+    if cc is None:
+        raise RuntimeError("no C compiler on PATH")
+    path = library_path(directory, cc)
+    if _intact(path):
+        try:
+            return NativeKernel(path)
+        except OSError:
+            log.warning("html_native: rebuilding unloadable %s", path)
+    os.makedirs(directory, exist_ok=True)
+    build(path, cc)
+    return NativeKernel(path)
+
+
+@functools.cache
+def load() -> NativeKernel | None:
+    """The host's kernel, or ``None`` (with one warning) when it cannot be
+    built or loaded."""
+    try:
+        return open_kernel(cache_dir())
+    except Exception as exc:  # extraction must not fail because of the build
+        detail = getattr(exc, "stderr", None) or exc
+        log.warning("html_native: native kernel unavailable, using the Python engine: %s", detail)
+        return None

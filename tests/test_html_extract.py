@@ -1,7 +1,7 @@
 """Unit tests: boilerplate stripper on hand-built DOM fixtures
 (SURVEY.md §5 item 1 — nav/footer/link-farm vs content blocks)."""
 
-from ai_service_ocr_grading_handler_ray.stages.html_extract import extract_html
+from ai_service_ocr_grading_handler_ray.stages.html_extract import extract_html_with_title
 
 CONTENT_A = "This is the first real paragraph of the article with enough characters."
 CONTENT_B = "A second substantive paragraph that should also survive the classifier."
@@ -14,7 +14,7 @@ def test_keeps_content_drops_nav_footer():
     <article><p>{CONTENT_A}</p><p>{CONTENT_B}</p></article>
     <footer><p>Copyright 2024 example.com all rights reserved worldwide</p></footer>
     </body></html>"""
-    text, n = extract_html(html)
+    text, n = extract_html_with_title(html)[:2]
     assert text == f"{CONTENT_A}\n\n{CONTENT_B}"
     assert n == 2
 
@@ -22,14 +22,14 @@ def test_keeps_content_drops_nav_footer():
 def test_drops_link_farm_by_link_density():
     farm = " ".join(f'<a href="/{i}">interesting link number {i}</a>' for i in range(10))
     html = f"<body><div>{farm}</div><p>{CONTENT_A}</p></body>"
-    text, n = extract_html(html)
+    text, n = extract_html_with_title(html)[:2]
     assert text == CONTENT_A
     assert n == 1
 
 
 def test_drops_short_blocks():
     html = f"<body><p>tiny</p><p>{CONTENT_A}</p></body>"
-    text, _ = extract_html(html)
+    text, _ = extract_html_with_title(html)[:2]
     assert text == CONTENT_A
 
 
@@ -38,7 +38,7 @@ def test_drops_boilerplate_by_class():
         f'<body><div class="sidebar-widget"><p>{CONTENT_A}</p></div>'
         f"<p>{CONTENT_B}</p></body>"
     )
-    text, _ = extract_html(html)
+    text, _ = extract_html_with_title(html)[:2]
     assert text == CONTENT_B
 
 
@@ -47,41 +47,41 @@ def test_moderate_inline_links_kept():
         f'<body><p>{CONTENT_A} See <a href="/x">this page</a> for details '
         f"about the subject at hand.</p></body>"
     )
-    text, n = extract_html(html)
+    text, n = extract_html_with_title(html)[:2]
     assert n == 1
     assert "See this page for details" in text
 
 
 def test_whitespace_normalized_and_entities():
     html = "<body><p>Alpha&amp;Beta   with\n\n   spaced   out words making it long enough</p></body>"
-    text, _ = extract_html(html)
+    text, _ = extract_html_with_title(html)[:2]
     assert text == "Alpha&Beta with spaced out words making it long enough"
 
 
 def test_malformed_html_never_raises():
-    text, n = extract_html(b"<div><p>unclosed " + bytes([0xFF, 0xFE]) + b" tail")
+    text, n = extract_html_with_title(b"<div><p>unclosed " + bytes([0xFF, 0xFE]) + b" tail")[:2]
     assert isinstance(text, str) and n >= 0
 
 
 def test_empty_input():
-    assert extract_html(b"") == ("", 0)
+    assert extract_html_with_title(b"")[:2] == ("", 0)
 
 
 def test_deterministic():
     html = f"<body><p>{CONTENT_A}</p><div class='menu'><a href='/'>m</a></div></body>"
-    assert extract_html(html) == extract_html(html)
+    assert extract_html_with_title(html)[:2] == extract_html_with_title(html)[:2]
 
 
-def test_fast_engine_equivalent_on_corpus():
-    """The regex-scanner tokenizer must produce byte-identical output to
-    the stdlib html.parser path over every synthetic html page."""
+def test_native_engine_equivalent_on_corpus():
+    """The production engine (native kernel) and its Python fallback must
+    produce byte-identical output to the stdlib html.parser oracle over
+    every synthetic html page."""
     import pyarrow.parquet as pq
 
     from ai_service_ocr_grading_handler_ray.stages.classify import classify_payload_kind
     from ai_service_ocr_grading_handler_ray.stages.html_extract import (
-        extract_html_fast,
         extract_html_fused,
-        extract_html_with_title,
+        extract_html_fused_py,
     )
     from ai_service_ocr_grading_handler_ray.synth import docs_to_pages
 
@@ -91,17 +91,14 @@ def test_fast_engine_equivalent_on_corpus():
     for payload, kind in zip(pages["html"].to_pylist(), pages["payload_kind"].to_pylist()):
         if kind == "html":
             ref = extract_html_with_title(payload)
-            assert extract_html_fast(payload) == ref
             assert extract_html_fused(payload) == ref
+            assert extract_html_fused_py(payload) == ref
             n += 1
     assert n > 390
 
 
-def test_fast_engine_handles_tricky_html():
-    from ai_service_ocr_grading_handler_ray.stages.html_extract import (
-        extract_html_fast,
-        extract_html_with_title,
-    )
+def test_native_engine_handles_tricky_html():
+    from ai_service_ocr_grading_handler_ray.stages.html_extract import extract_html_fused
 
     tricky = (
         '<html><head><title>T &amp; U</title><script>if (a<b) { x="</p>"; }</script>'
@@ -111,22 +108,22 @@ def test_fast_engine_handles_tricky_html():
         f"<p>Entity test &lt;tag&gt; and &quot;quotes&quot; inside a long paragraph here.</p>"
         "</body></html>"
     )
-    fast = extract_html_fast(tricky)
+    native = extract_html_fused(tricky)
     std = extract_html_with_title(tricky)
-    assert fast == std
-    assert fast[2] == "T & U"
-    assert CONTENT_B not in fast[0]  # promo class dropped
-    assert "<tag>" in fast[0]  # entities decoded
+    assert native == std
+    assert native[2] == "T & U"
+    assert CONTENT_B not in native[0]  # promo class dropped
+    assert "<tag>" in native[0]  # entities decoded
 
 
 def test_fused_engine_equivalent_on_tricky_fragments():
-    """The fused engine must match both other engines on structurally
-    nasty fragments: self-closing blocks, raw-text elements, uppercase
-    tags, unterminated script, boilerplate-attr inline tags."""
+    """The native kernel and its Python fallback must match the stdlib
+    oracle on structurally nasty fragments: self-closing blocks, raw-text
+    elements, uppercase tags, unterminated script, boilerplate-attr inline
+    tags."""
     from ai_service_ocr_grading_handler_ray.stages.html_extract import (
-        extract_html_fast,
         extract_html_fused,
-        extract_html_with_title,
+        extract_html_fused_py,
     )
 
     frags = [
@@ -145,5 +142,5 @@ def test_fused_engine_equivalent_on_tricky_fragments():
     ]
     for f in frags:
         ref = extract_html_with_title(f)
-        assert extract_html_fast(f) == ref, f[:60]
         assert extract_html_fused(f) == ref, f[:60]
+        assert extract_html_fused_py(f) == ref, f[:60]
