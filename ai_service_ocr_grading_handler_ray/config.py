@@ -6,7 +6,7 @@ The reference routes records through a 17-entry model-alias registry
 (``subject_wise_prompt.json``, consumed at ``gen_ai_calling.py:200-218``).
 The engine keeps the same two-level lookup shape but the targets are
 deterministic local extractor/scorer classes instead of remote LLMs
-(SURVEY.md T5): alias → {engine, engine_class}; (task, lang) →
+(SURVEY.md T5): alias → {engine, engine_class}; lang →
 extraction-policy parameters.
 
 These tables are tiny: they broadcast by closure capture into
@@ -51,24 +51,23 @@ GRADING_PROMPT_TO_ALIAS: dict[str, str] = {
     "omr": "gpt-vision-mcq",
 }
 
-# (task, lang) → extraction-policy parameters (subject_wise_prompt.json
-# analogue: per-subject prompt rows become per-lang density thresholds).
+# lang → extraction-policy parameters (subject_wise_prompt.json analogue:
+# per-subject prompt rows become per-lang density thresholds).
 # Miss falls back to DEFAULT_POLICY (utils.py:29 default-prompt semantics).
 EXTRACTION_POLICIES: list[dict] = [
-    {"task": "extract", "lang": "en", "min_len": 25, "max_link_pct": 33},
-    {"task": "extract", "lang": "de", "min_len": 30, "max_link_pct": 33},
-    {"task": "extract", "lang": "fr", "min_len": 28, "max_link_pct": 33},
-    {"task": "extract", "lang": "es", "min_len": 28, "max_link_pct": 33},
-    {"task": "extract", "lang": "zh", "min_len": 12, "max_link_pct": 40},
-    {"task": "extract-strict", "lang": "en", "min_len": 40, "max_link_pct": 25},
+    {"lang": "en", "min_len": 25, "max_link_pct": 33},
+    {"lang": "de", "min_len": 30, "max_link_pct": 33},
+    {"lang": "fr", "min_len": 28, "max_link_pct": 33},
+    {"lang": "es", "min_len": 28, "max_link_pct": 33},
+    {"lang": "zh", "min_len": 12, "max_link_pct": 40},
 ]
 DEFAULT_POLICY: dict = {"min_len": 25, "max_link_pct": 33}
 
 
-def get_policy(task: str, lang: str) -> dict:
-    """Case-insensitive (task, lang) lookup with default fallback —
-    get_prompt semantics (utils.py:23-29)."""
+def get_policy(lang: str) -> dict:
+    """Case-insensitive lang lookup with default fallback — get_prompt
+    semantics (utils.py:23-29)."""
     for p in EXTRACTION_POLICIES:
-        if p["task"] == task and p["lang"].lower() == (lang or "").lower():
+        if p["lang"].lower() == (lang or "").lower():
             return p
     return DEFAULT_POLICY

@@ -3,8 +3,9 @@
 Engine equivalent of the reference's /generate dataflow (SURVEY.md §3.1):
 
     read_parquet(pages)
-      → map_batches(classify_payload_kind)        # stateless, vectorized sniff
-      → map_batches(ExtractActor, concurrency=…)  # actor pool, warm parser state
+      → map_batches(classify_payload_kind)   # stateless, vectorized sniff
+      → map_batches(extract_batch_task)      # stateless tasks, per-worker
+                                             # cached engine
       → write_parquet / downstream scoring
 
 The whole thing is lazy and streams with backpressure; nothing
@@ -13,29 +14,11 @@ materializes the full input.
 
 from __future__ import annotations
 
-import ray
 import ray.data as rd
 
+from ..stages import extract as _extract
 from ..stages.classify import classify_payload_kind
-from ..stages.extract import ExtractActor
 from ..synth import docs_to_pages
-
-
-def _default_concurrency() -> int:
-    """Fixed actor-pool size sized to the cluster (never call ray.init
-    here — the session belongs to the driver).
-
-    Fixed, not autoscaling: an autoscaling pool starts at its minimum and
-    ramps too slowly for short jobs, capping effective parallelism well
-    below the cluster (measured: 0.31 scaling efficiency with (1, N) vs
-    ~linear with N).  Leave ≥2 CPUs free for the read/write task
-    operators — a pool that reserves every CPU starves them and the
-    pipeline stalls."""
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
-    return max(1, cpus - 2)
 
 
 def build_pages_dataset(sf_dir: str, *, override_num_blocks: int | None = None) -> rd.Dataset:
@@ -49,46 +32,22 @@ def build_pages_dataset(sf_dir: str, *, override_num_blocks: int | None = None) 
     return ds.map_batches(docs_to_pages, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def extract_pages(
-    pages: rd.Dataset,
-    *,
-    min_len: int | None = None,
-    max_link_pct: int | None = None,
-    batch_size: int = 256,
-    concurrency: int | tuple[int, int] | None = None,
-    compute: str = "tasks",
-) -> rd.Dataset:
+def extract_pages(pages: rd.Dataset, *, batch_size: int = 256) -> rd.Dataset:
     """classify → extract.  Returns the EXTRACTED_SCHEMA dataset (lazy).
 
-    ``compute="tasks"`` (default): stateless tasks with a per-worker cached
-    engine — zero pool spin-up, elastic, fuses with read/write (measured
-    ~1.6× faster end-to-end and better scaling than a fixed pool, since
-    this extractor's state is cheap).  ``compute="actors"``: fixed actor
-    pool sized ``concurrency`` (default cpus−2) — the right shape when the
-    per-actor state is heavy (real OCR models)."""
+    Stateless tasks with a per-worker cached engine: zero pool spin-up,
+    elastic, fuses with read/write (measured ~1.6× faster end-to-end and
+    better scaling than a fixed actor pool, since this extractor's state
+    is cheap)."""
     classified = pages.map_batches(
         classify_payload_kind, batch_format="pyarrow", zero_copy_batch=True
     )
-    if compute == "tasks":
-        from ..stages.extract import extract_batch_task
-
-        return classified.map_batches(
-            extract_batch_task,
-            fn_kwargs={"min_len": min_len, "max_link_pct": max_link_pct},
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-        )
-    if concurrency is None:
-        concurrency = _default_concurrency()
+    # looked up at call time, so a replaced extract_batch_task takes effect
     return classified.map_batches(
-        ExtractActor,
-        fn_constructor_kwargs={"min_len": min_len, "max_link_pct": max_link_pct},
+        _extract.extract_batch_task,
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
     )
 
 

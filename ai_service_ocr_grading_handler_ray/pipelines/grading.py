@@ -3,7 +3,7 @@
 
     requests
       → map_batches(route)                  # gradingPrompt → alias → engine class
-      → map_batches(GradingExtractActor)    # Stage A: answer from payload (by kind)
+      → map_batches(grade_extract_task)     # Stage A: answer from payload (by kind)
       → map_batches(score_batch)            # Stage B: rubric scores + flags + sink shape
 
 Reference per-record boundary crossings (HTTPS per model call,
@@ -22,7 +22,6 @@ from ..stages.classify import classify_payload_kind
 from ..stages.extract import ExtractActor
 from ..stages.score import score_batch
 from ..synth import docs_to_grading_requests
-from .extract import _default_concurrency
 
 
 def route_requests(batch: pa.Table) -> pa.Table:
@@ -40,43 +39,33 @@ def route_requests(batch: pa.Table) -> pa.Table:
     ).append_column("engine_class", pa.array(classes, type=pa.string()))
 
 
-class GradingExtractActor:
-    """Stage A over grading requests: answer text from inline field or
-    binary payload (html/pdf/image by magic sniff) — mask-dispatch, warm
-    parser state per actor (SURVEY.md T1)."""
-
-    def __init__(self) -> None:
-        self._extractor = ExtractActor()
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        sniffed = classify_payload_kind(batch, column="student_answer_payload")
-        kinds = sniffed["payload_kind"].to_pylist()
-        inline = batch["student_answer"].to_pylist()
-        payloads = batch["student_answer_payload"]
-        answers: list[str] = []
-        for i, (kind, ans) in enumerate(zip(kinds, inline)):
-            if ans:  # text-only classes: inline answer wins (gen_ai_calling.py:174-182)
-                answers.append(ans)
-                continue
-            payload = payloads[i].as_py() or b""
-            text, _nb, _st, _title = self._extractor._extract_one(kind, payload)
-            answers.append(text)
-        return batch.append_column(
-            "extracted_answer", pa.array(answers, type=pa.large_string())
-        )
-
-
-# per-worker cached engine for the stateless-task path (workers persist
-# across tasks → warm after the first batch; same rationale as
-# stages/extract.extract_batch_task: pool spin-up dominates short jobs,
-# pools remain right for heavy per-actor state like real OCR models)
-_TASK_GRADER: list = []
+# per-worker cached engine (workers persist across tasks → warm after the
+# first batch; same rationale as stages/extract.extract_batch_task)
+_TASK_GRADER: list[ExtractActor] = []
 
 
 def grade_extract_task(batch: pa.Table) -> pa.Table:
+    """Stage A over grading requests: answer text from inline field or
+    binary payload (html/pdf/image by magic sniff) — per-row dispatch on
+    the sniffed kind (SURVEY.md T1)."""
     if not _TASK_GRADER:
-        _TASK_GRADER.append(GradingExtractActor())
-    return _TASK_GRADER[0](batch)
+        _TASK_GRADER.append(ExtractActor())
+    extractor = _TASK_GRADER[0]
+    sniffed = classify_payload_kind(batch, column="student_answer_payload")
+    kinds = sniffed["payload_kind"].to_pylist()
+    inline = batch["student_answer"].to_pylist()
+    payloads = batch["student_answer_payload"]
+    answers: list[str] = []
+    for i, (kind, ans) in enumerate(zip(kinds, inline)):
+        if ans:  # text-only classes: inline answer wins (gen_ai_calling.py:174-182)
+            answers.append(ans)
+            continue
+        payload = payloads[i].as_py() or b""
+        text, _nb, _st, _title = extractor._extract_one(kind, payload)
+        answers.append(text)
+    return batch.append_column(
+        "extracted_answer", pa.array(answers, type=pa.large_string())
+    )
 
 
 def build_grading_requests(sf_dir: str) -> rd.Dataset:
@@ -86,41 +75,16 @@ def build_grading_requests(sf_dir: str) -> rd.Dataset:
     return ds.map_batches(docs_to_grading_requests, batch_format="pyarrow")
 
 
-def grade_requests(
-    requests: rd.Dataset,
-    *,
-    batch_size: int = 256,
-    concurrency: int | tuple[int, int] | None = None,
-    use_actors: bool = False,
-) -> rd.Dataset:
+def grade_requests(requests: rd.Dataset, *, batch_size: int = 256) -> rd.Dataset:
     """Full Stage A + Stage B over a grading-request dataset (lazy).
-
-    Default: stateless tasks with a per-worker cached engine (cheap
-    parser state).  ``use_actors=True`` hosts the engine in a fixed actor
-    pool — the right shape when Stage A carries heavy model state."""
+    Stage A runs as stateless tasks with a per-worker cached engine."""
     routed = requests.map_batches(route_requests, batch_format="pyarrow")
-    if use_actors:
-        if concurrency is None:
-            concurrency = _default_concurrency()
-        extracted = routed.map_batches(
-            GradingExtractActor,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-            concurrency=concurrency,
-            num_cpus=1,
-        )
-    else:
-        # forward concurrency so callers bounding parallelism on the
-        # stateless-task path aren't silently ignored (ADVICE r2)
-        task_kwargs = {} if concurrency is None else {"concurrency": concurrency}
-        extracted = routed.map_batches(
-            grade_extract_task,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-            **task_kwargs,
-        )
+    extracted = routed.map_batches(
+        grade_extract_task,
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        batch_size=batch_size,
+    )
     return extracted.map_batches(score_batch, batch_format="pyarrow")
 
 

@@ -580,7 +580,7 @@ def q26_field_extractors(sf_dir: str) -> rd.Dataset:
 def q30_flagship_extract(sf_dir: str) -> rd.Dataset:
     from .extract import flagship
 
-    return flagship(sf_dir, concurrency=(1, 4))
+    return flagship(sf_dir)
 
 
 def q41_flagship_deduped(sf_dir: str) -> rd.Dataset:
@@ -589,7 +589,7 @@ def q41_flagship_deduped(sf_dir: str) -> rd.Dataset:
     before extraction."""
     from .extract import flagship_deduped
 
-    return flagship_deduped(sf_dir, concurrency=(1, 4))
+    return flagship_deduped(sf_dir)
 
 
 def q31_grading(sf_dir: str) -> rd.Dataset:

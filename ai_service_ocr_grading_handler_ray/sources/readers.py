@@ -1,9 +1,9 @@
-"""Readers/sinks for the engine's tables (SURVEY.md §2.1).
+"""Readers and the schema gate for the engine's tables (SURVEY.md §2.1).
 
 Scale discipline: every reader takes ``columns`` (pruned at the read) and
-an optional pyarrow filter expression (row-group pushdown); outputs go to
-partitioned Parquet directories (never one giant file — resumable layout,
-see state/manifest.py).
+an optional pyarrow filter expression (row-group pushdown).  Outputs go
+through ``Dataset.write_parquet`` into partitioned directories (never one
+giant file — resumable layout, see state/manifest.py).
 """
 
 from __future__ import annotations
@@ -26,28 +26,6 @@ def read_pages(
         filter=filter_expr,
         override_num_blocks=override_num_blocks,
     )
-
-
-def read_events_json(paths: str | list[str]) -> rd.Dataset:
-    """JSON-lines event reader (the reference's SQS-event analogue)."""
-    return rd.read_json(paths)
-
-
-def read_documents(sf_dir: str, columns: list[str] | None = None) -> rd.Dataset:
-    return rd.read_parquet(f"{sf_dir}/documents.parquet", columns=columns)
-
-
-def write_partitioned(ds: rd.Dataset, out_dir: str, *, min_rows_per_file: int = 50_000) -> None:
-    """Partitioned parquet sink: many part files, never one giant file."""
-    ds.write_parquet(out_dir, min_rows_per_file=min_rows_per_file)
-
-
-def write_hive_partitioned(
-    ds: rd.Dataset, out_dir: str, partition_cols: list[str]
-) -> None:
-    """Hive-style partitioned sink (e.g. lang=en/...) — the layout that
-    lets a 100 TB consumer prune whole directories at the read."""
-    ds.write_parquet(out_dir, partition_cols=partition_cols)
 
 
 def validate_schema(ds: rd.Dataset, expected, *, strict: bool = True) -> rd.Dataset:

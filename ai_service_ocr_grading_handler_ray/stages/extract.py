@@ -1,11 +1,11 @@
-"""Stage-A extraction: one `map_batches` actor class covering all payload
-kinds by mask-dispatch (SURVEY.md M2 replacement for the per-record switch
-at ``gen_ai_calling.py:278-415``).
+"""Stage-A extraction: one `map_batches` stage covering all payload kinds
+(SURVEY.md M2 replacement for the per-record switch at
+``gen_ai_calling.py:278-415``).
 
-Rows are grouped by ``payload_kind`` inside the batch; each kind's
-extractor runs over its sub-batch; results are scattered back into
-document order.  Parser state (OCR engine, per-lang policies) is warmed
-once per actor in ``__init__``.  Per-row failures follow the poison-pill
+Each row of a batch goes through ``ExtractActor._extract_one``, which picks
+the extractor by the row's ``payload_kind``; the output columns keep the
+batch's row order.  Parser state (OCR engine, per-lang policies) is built
+once per engine in ``__init__``.  Per-row failures follow the poison-pill
 policy (SURVEY.md §4): the row gets ``status='error'`` and empty text
 instead of failing the block — mirroring the reference's
 degraded-response records (``llm_calling.py:111-112,173-174``).
@@ -13,7 +13,7 @@ degraded-response records (``llm_calling.py:111-112,173-174``).
 Per-lang extraction policies mirror the reference's (task, subjectName)
 prompt lookup (J3, ``utils.py:23-29`` + subject_wise_prompt.json): the
 policy table broadcasts by closure, resolved once per distinct lang per
-batch — never re-read per record (the reference re-reads its JSON table
+engine — never re-read per record (the reference re-reads its JSON table
 per record at gen_ai_calling.py:200-201).
 """
 
@@ -24,7 +24,7 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
-from ..config import DEFAULT_POLICY, get_policy
+from ..config import get_policy
 from ..payloads import decode_pdf_glyphs
 from .html_extract import extract_html_fused, extract_html_with_title
 from .ocr import OcrEngine
@@ -36,29 +36,24 @@ def sha256_hex(text: str) -> str:
 
 
 class ExtractActor:
-    """Callable class for ``map_batches(ExtractActor, concurrency=N, ...)``.
+    """Callable extraction engine: ``extract_batch_task`` caches one per
+    worker process; ``map_batches(ExtractActor, concurrency=N)`` hosts it
+    in an actor pool when the OCR engine carries heavy state.
 
     Input batch columns: url, warc_ts, html(binary), text, lang,
-    payload_kind.  Output: EXTRACTED_SCHEMA (schema.py).
-
-    ``min_len`` / ``max_link_pct`` override the per-lang policy table when
-    given explicitly (policy=None default uses config.EXTRACTION_POLICIES).
+    payload_kind.  Output: EXTRACTED_SCHEMA (schema.py).  HTML thresholds
+    come from the per-lang policy table (config.EXTRACTION_POLICIES).
     """
 
     def __init__(
         self,
-        min_len: int | None = None,
-        max_link_pct: int | None = None,
-        task: str = "extract",
         html_engine: str = "fused",
         ocr_engine_factory: type[OcrEngine] | None = None,
     ) -> None:
-        # warm engine state, once per actor.  The factory hook lets a real
+        # warm engine state, once per engine.  The factory hook lets a real
         # engine (tesseract handle, vision model) — or a test fake — be
-        # injected without changing the actor-pool plumbing.
+        # injected without changing the extraction plumbing.
         self.ocr = (ocr_engine_factory or OcrEngine)()
-        self.task = task
-        self._override = (min_len, max_link_pct)
         self._policy_cache: dict[str, tuple[int, int]] = {}
         # "fused" (default) = the production engine: the native C kernel
         # (html_native.c, built once per host) with its Python body as
@@ -70,15 +65,9 @@ class ExtractActor:
         }[html_engine]
 
     def _params_for(self, lang: str) -> tuple[int, int]:
-        if self._override != (None, None):
-            p = DEFAULT_POLICY
-            return (
-                self._override[0] if self._override[0] is not None else p["min_len"],
-                self._override[1] if self._override[1] is not None else p["max_link_pct"],
-            )
         key = (lang or "").lower()
         if key not in self._policy_cache:
-            p = get_policy(self.task, key)
+            p = get_policy(key)
             self._policy_cache[key] = (p["min_len"], p["max_link_pct"])
         return self._policy_cache[key]
 
@@ -151,27 +140,18 @@ class ExtractActor:
         )
 
 
-# --- task-based twin with per-worker engine cache ---------------------------
+# --- stateless tasks with a per-worker engine cache -------------------------
 #
-# ExtractActor state is cheap (regex + policy table; no model weights), so
-# the flagship can run as STATELESS TASKS with the engine cached per Ray
-# worker process (workers persist across tasks → warm after first batch,
-# zero actor-pool spin-up, fully elastic scheduling).  Heavy-state stages
-# (real OCR models) should stay actor pools; this path exists because the
-# measured actor-pool startup (~2-3 s for cpus-2 actors) dominates short
-# jobs and costs scaling efficiency.
+# The engine's state is cheap (policy table, OCR stub; no model weights), so
+# Stage A runs as STATELESS TASKS with the engine cached per Ray worker
+# process (workers persist across tasks → warm after the first batch, zero
+# actor-pool spin-up, fully elastic scheduling, fuses with read/write).
 
-_TASK_ENGINE: dict[tuple, ExtractActor] = {}
+_TASK_ENGINE: dict[str, ExtractActor] = {}
 
 
-def extract_batch_task(
-    batch: pa.Table,
-    min_len: int | None = None,
-    max_link_pct: int | None = None,
-    task: str = "extract",
-) -> pa.Table:
-    key = (min_len, max_link_pct, task)
-    eng = _TASK_ENGINE.get(key)
+def extract_batch_task(batch: pa.Table) -> pa.Table:
+    eng = _TASK_ENGINE.get("fused")
     if eng is None:
-        eng = _TASK_ENGINE[key] = ExtractActor(min_len, max_link_pct, task)
+        eng = _TASK_ENGINE["fused"] = ExtractActor()
     return eng(batch)

@@ -14,7 +14,7 @@ from ai_service_ocr_grading_handler_ray.stages.collect import collect_tables
 
 @pytest.fixture(scope="module")
 def graded(sf_dir) -> pa.Table:
-    out = grading_pipeline(sf_dir, use_actors=True, concurrency=(1, 4))
+    out = grading_pipeline(sf_dir)
     return pa.concat_tables(collect_tables(out, drop_empty=False))
 
 

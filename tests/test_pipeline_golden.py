@@ -23,7 +23,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "extract_sf0.001.json
 def extracted(sf_dir) -> pa.Table:
     from ai_service_ocr_grading_handler_ray.stages.collect import collect_table
 
-    out = extract_pages(build_pages_dataset(sf_dir), concurrency=(1, 4))
+    out = extract_pages(build_pages_dataset(sf_dir))
     return collect_table(out)
 
 
@@ -119,18 +119,13 @@ def test_url_dedup_collapses_pairs(sf_dir):
     assert dup, "dup-host urls present"
 
 
-def test_policy_override_beats_table(sf_dir):
-    """Explicit thresholds override the per-lang policy table (env-var
-    analogue, SURVEY.md §2.9)."""
+def test_en_policy_drops_short_block_zh_policy_keeps_it():
+    """The per-lang policy table sets the HTML thresholds: a 21-character
+    block is below en's min_len (25) and above zh's (12)."""
     html = b"<body><p>a tiny block here ok</p></body>"  # 21 chars normalized
-    default_actor = ExtractActor()  # en policy: min_len 25 → dropped
-    strict = default_actor._extract_one("html", html, "en")
-    assert strict[0] == ""
-    loose = ExtractActor(min_len=10)._extract_one("html", html, "en")
-    assert loose[0] == "a tiny block here ok"
-    # zh policy (min_len 12) keeps it via the table
-    zh = default_actor._extract_one("html", html, "zh")
-    assert zh[0] == "a tiny block here ok"
+    actor = ExtractActor()
+    assert actor._extract_one("html", html, "en")[0] == ""
+    assert actor._extract_one("html", html, "zh")[0] == "a tiny block here ok"
 
 
 def test_flagship_golden_sf001():

@@ -1,16 +1,8 @@
-"""Reader surface: column pruning, predicate pushdown, JSON events."""
-
-import json
+"""Reader surface: column pruning, predicate pushdown, interchange formats."""
 
 import pyarrow.dataset as pads
-import ray.data as rd
 
-from ai_service_ocr_grading_handler_ray.sources.readers import (
-    read_documents,
-    read_events_json,
-    read_pages,
-    write_partitioned,
-)
+from ai_service_ocr_grading_handler_ray.sources.readers import read_pages
 
 
 def test_read_pages_prunes_and_pushes_down(tmp_path, sf_dir):
@@ -28,27 +20,6 @@ def test_read_pages_prunes_and_pushes_down(tmp_path, sf_dir):
     assert list(df.columns) == ["url", "lang"]
     assert (df["lang"] == "en").all()
     assert 0 < len(df) < 500
-
-
-def test_read_events_json(tmp_path):
-    path = tmp_path / "events.jsonl"
-    with open(path, "w") as f:
-        for i in range(5):
-            f.write(json.dumps({"event_id": i, "event_type": "click", "value": i * 1.5}) + "\n")
-    ds = read_events_json(str(path))
-    assert ds.count() == 5
-    assert set(ds.schema().names) == {"event_id", "event_type", "value"}
-
-
-def test_write_partitioned_many_files(tmp_path, sf_dir):
-    ds = read_documents(sf_dir)
-    out = str(tmp_path / "docs_out")
-    write_partitioned(ds, out, min_rows_per_file=100)
-    import os
-
-    files = [f for f in os.listdir(out) if f.endswith(".parquet")]
-    assert len(files) >= 1
-    assert pads.dataset(out, format="parquet").count_rows() == 500
 
 
 def test_jsonl_and_csv_pages_match_parquet_extraction(tmp_path, sf_dir):

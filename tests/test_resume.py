@@ -42,14 +42,12 @@ def test_resume_exact(tmp_path, sf_dir):
 
     # full run in one go → reference result
     ref_dir = str(tmp_path / "ref")
-    resumable_extract(files, ref_dir, partition_size=1, concurrency=(1, 2))
+    resumable_extract(files, ref_dir, partition_size=1)
     ref = _digests(ref_dir)
 
     # interrupted run: only 2 of 4 partitions, then "crash"
     out_dir = str(tmp_path / "out")
-    first = resumable_extract(
-        files, out_dir, partition_size=1, max_partitions=2, concurrency=(1, 2)
-    )
+    first = resumable_extract(files, out_dir, partition_size=1, max_partitions=2)
     assert len(first) == 2
     assert completed_partitions(out_dir) == {0, 1}
     mtimes = {
@@ -58,7 +56,7 @@ def test_resume_exact(tmp_path, sf_dir):
     }
 
     # restart: must process exactly the remaining 2 partitions
-    second = resumable_extract(files, out_dir, partition_size=1, concurrency=(1, 2))
+    second = resumable_extract(files, out_dir, partition_size=1)
     assert [m["partition_id"] for m in second] == [2, 3]
     # finished partitions untouched (no reprocessing)
     for p, t in mtimes.items():
@@ -209,41 +207,3 @@ def test_worker_kill_midrun_retries_to_identical_output(tmp_path, sf_dir, monkey
     assert os.path.exists(marker + ".claimed")  # the kill really fired
     assert [m["partition_id"] for m in manifests] == [0, 1]
     assert _digests(out_dir) == ref  # byte-identical, no dup/missing rows
-
-
-def test_actor_kill_midrun_retries_to_identical_output(tmp_path, sf_dir, monkeypatch):
-    """Same injection for the actor-pool path (compute='actors'): an
-    extract actor dies mid-batch; the pool restarts it and the retried
-    batch yields identical output."""
-    files = _make_input(tmp_path, sf_dir, n_files=2)
-
-    ref_dir = str(tmp_path / "ref_a")
-    resumable_extract(
-        files, ref_dir, partition_size=2, compute="actors", concurrency=(1, 2)
-    )
-    ref = _digests(ref_dir)
-
-    marker = str(tmp_path / "kill-once-actor")
-    with open(marker, "w") as f:
-        f.write("armed")
-
-    from ai_service_ocr_grading_handler_ray.pipelines import extract as pipe_mod
-
-    class KillingActor(pipe_mod.ExtractActor):
-        def __call__(self, batch):
-            try:
-                os.rename(marker, marker + ".claimed")
-                os._exit(1)
-            except OSError:
-                pass
-            return super().__call__(batch)
-
-    monkeypatch.setattr(pipe_mod, "ExtractActor", KillingActor)
-    out_dir = str(tmp_path / "killed_a")
-    resumable_extract(
-        files, out_dir, partition_size=2, compute="actors", concurrency=(1, 2)
-    )
-    monkeypatch.undo()
-
-    assert os.path.exists(marker + ".claimed")
-    assert _digests(out_dir) == ref

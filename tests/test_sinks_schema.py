@@ -1,27 +1,12 @@
-"""Partitioned sink, schema gate, manifest metrics rollup."""
-
-import os
+"""Schema gate, manifest metrics rollup."""
 
 import pyarrow as pa
 import pytest
 import ray.data as rd
 
 from ai_service_ocr_grading_handler_ray.schema import PAGES_SCHEMA
-from ai_service_ocr_grading_handler_ray.sources.readers import (
-    validate_schema,
-    write_hive_partitioned,
-)
+from ai_service_ocr_grading_handler_ray.sources.readers import validate_schema
 from ai_service_ocr_grading_handler_ray.state.manifest import metrics_rollup
-
-
-def test_hive_partitioned_layout(tmp_path, sf_dir):
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "n_chars"])
-    out = str(tmp_path / "by_lang")
-    write_hive_partitioned(ds, out, ["lang"])
-    dirs = sorted(d for d in os.listdir(out) if d.startswith("lang="))
-    assert dirs == ["lang=de", "lang=en", "lang=es", "lang=fr", "lang=zh"]
-    back = rd.read_parquet(f"{out}/lang=en")
-    assert back.count() > 0
 
 
 def test_validate_schema_pass_and_diffs(sf_dir):
