@@ -8,8 +8,8 @@ idiomatic ``ray.data.Dataset`` pipelines:
 - stateless ``map_batches`` over zero-copy Arrow batches for payload-kind
   routing, HTML boilerplate stripping, regex field extraction, rubric
   scoring and flag derivation;
-- actor pools with warmed state for the stateful extractors (XY-cut PDF
-  layout parsing, OCR of image-only pages);
+- one Stage-A extraction pass (HTML, XY-cut PDF layout, OCR of
+  image-only pages) as stateless tasks with a per-worker cached engine;
 - explicit shuffles for the wide steps (url-hash repartitioning, exact
   dedup by url, salted per-host groupbys);
 - per-partition checkpoint manifests enabling exact resume.

@@ -37,15 +37,23 @@ def _ensure_ray(num_cpus: int | None) -> bool:
     return owned
 
 
+def _input_files(pattern: str) -> list[str]:
+    """``--input`` → sorted glob matches, or the path itself when it has no
+    glob characters; reports an empty match on stderr."""
+    if not any(c in pattern for c in "*?["):
+        return [pattern]
+    files = sorted(glob.glob(pattern))
+    if not files:
+        print(f"no input files match {pattern}", file=sys.stderr)
+    return files
+
+
 def cmd_extract(args: argparse.Namespace) -> int:
     """Flagship: pages parquet → extraction parquet, resumable."""
     from .state.manifest import resumable_extract
 
-    files = sorted(glob.glob(args.input)) if any(c in args.input for c in "*?[") else [
-        args.input
-    ]
+    files = _input_files(args.input)
     if not files:
-        print(f"no input files match {args.input}", file=sys.stderr)
         return 2
     manifests = resumable_extract(
         files, args.out, partition_size=args.partition_size,
@@ -97,20 +105,16 @@ def _refuse_existing_out(out: str) -> bool:
 def cmd_curate(args: argparse.Namespace) -> int:
     """pages parquet → curated train/eval parquet (extract → dedup →
     redact → filter → lang-ID → split), partitioned by split."""
-    import ray.data as rd
-
     from .pipelines.curate import curate_pages
+    from .sources.readers import read_pages
 
-    files = sorted(glob.glob(args.input)) if any(c in args.input for c in "*?[") else [
-        args.input
-    ]
+    files = _input_files(args.input)
     if not files:
-        print(f"no input files match {args.input}", file=sys.stderr)
         return 2
     if _refuse_existing_out(args.out):
         return 2
     curated = curate_pages(
-        rd.read_parquet(files),
+        read_pages(files),
         min_quality=args.min_quality,
         max_repetition=args.max_repetition,
     )
@@ -125,21 +129,15 @@ def cmd_curate(args: argparse.Namespace) -> int:
 def cmd_tier(args: argparse.Namespace) -> int:
     """pages parquet → extracted + CCNet head/middle/tail tier parquet,
     partitioned by (lang, tier)."""
-    import ray.data as rd
-
     from .pipelines.tiering import tier_extract, write_tiered
+    from .sources.readers import read_pages
 
-    files = sorted(glob.glob(args.input)) if any(c in args.input for c in "*?[") else [
-        args.input
-    ]
+    files = _input_files(args.input)
     if not files:
-        print(f"no input files match {args.input}", file=sys.stderr)
         return 2
     if _refuse_existing_out(args.out):
         return 2
-    tiers = tier_extract(
-        rd.read_parquet(files), detect_lang=not args.page_lang
-    )
+    tiers = tier_extract(read_pages(files), detect_lang=not args.page_lang)
     write_tiered(tiers, args.out)
     import pyarrow.dataset as pads
 
@@ -334,14 +332,12 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     """Job-level metrics rollup over a resumable-extract output dir:
     per-partition lineage + docs/sec and the aggregate (the engine's
     metrics surface, SURVEY.md A7)."""
-    from .state.manifest import completed_partitions, metrics_rollup
+    from .state.manifest import metrics_rollup
 
     if not os.path.isdir(os.path.join(args.out, "manifest")):
         print(f"no manifest dir under {args.out}", file=sys.stderr)
         return 2
-    rollup = metrics_rollup(args.out)
-    rollup["completed_partitions"] = sorted(completed_partitions(args.out))
-    print(json.dumps(rollup))
+    print(json.dumps(metrics_rollup(args.out)))
     return 0
 
 

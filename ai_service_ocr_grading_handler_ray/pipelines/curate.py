@@ -23,6 +23,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..stages.clean import add_canonical_url, add_redacted, add_repetition_ratio
+from ..stages.sampling import TRAIN_CUT
 from ..stages.text_analysis import add_language_id, add_quality_metrics
 from .extract import build_pages_dataset, extract_pages
 
@@ -32,11 +33,9 @@ def curate_pages(
     *,
     min_quality: float = 0.35,
     max_repetition: float = 0.5,
-    train_frac_16ths: int = 12,
-    **extract_kwargs,
 ) -> rd.Dataset:
     """pages → curated rows with a ``split`` column ('train'/'eval')."""
-    extracted = extract_pages(pages, **extract_kwargs)
+    extracted = extract_pages(pages)
 
     ok = extracted.map_batches(
         lambda t: t.filter(pc.equal(t["status"], "ok")), batch_format="pyarrow"
@@ -85,14 +84,12 @@ def curate_pages(
 
     enriched = deduped.map_batches(enrich, batch_format="pyarrow")
 
-    cut = format(train_frac_16ths, "x")
-
     def add_split(t: pa.Table) -> pa.Table:
         # same md5-threshold rule as stages/sampling.train_eval_split
         import hashlib
 
         split = [
-            "train" if hashlib.md5(str(u).encode()).hexdigest() < cut else "eval"
+            "train" if hashlib.md5(str(u).encode()).hexdigest() < TRAIN_CUT else "eval"
             for u in t["canonical_url"].to_pylist()
         ]
         return t.append_column("split", pa.array(split, type=pa.string()))
@@ -100,8 +97,8 @@ def curate_pages(
     return enriched.map_batches(add_split, batch_format="pyarrow")
 
 
-def curation_pipeline(sf_dir: str, **kwargs) -> rd.Dataset:
-    return curate_pages(build_pages_dataset(sf_dir), **kwargs)
+def curation_pipeline(sf_dir: str) -> rd.Dataset:
+    return curate_pages(build_pages_dataset(sf_dir))
 
 
 def _stage_checkpoint(

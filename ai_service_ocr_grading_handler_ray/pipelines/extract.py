@@ -21,13 +21,12 @@ from ..stages.classify import classify_payload_kind
 from ..synth import docs_to_pages
 
 
-def build_pages_dataset(sf_dir: str, *, override_num_blocks: int | None = None) -> rd.Dataset:
+def build_pages_dataset(sf_dir: str) -> rd.Dataset:
     """documents.parquet → synthetic pages table, synthesized inside Ray
     tasks (distributed, streaming — the driver never holds the pages)."""
     ds = rd.read_parquet(
         f"{sf_dir}/documents.parquet",
         columns=["doc_id", "text", "lang", "source"],
-        override_num_blocks=override_num_blocks,
     )
     return ds.map_batches(docs_to_pages, batch_format="pyarrow", zero_copy_batch=True)
 
@@ -77,12 +76,12 @@ def dedup_pages_by_url(pages: rd.Dataset) -> rd.Dataset:
     )
 
 
-def flagship(sf_dir: str, **kwargs) -> rd.Dataset:
+def flagship(sf_dir: str) -> rd.Dataset:
     """End-to-end flagship over one sf dir (used by ``__ray_entry__.entry``)."""
-    return extract_pages(build_pages_dataset(sf_dir), **kwargs)
+    return extract_pages(build_pages_dataset(sf_dir))
 
 
-def flagship_deduped(sf_dir: str, **kwargs) -> rd.Dataset:
+def flagship_deduped(sf_dir: str) -> rd.Dataset:
     """Flagship with the north-rule url-dedup stage ahead of extraction
     (dedup before the expensive stage: never extract a url twice)."""
-    return extract_pages(dedup_pages_by_url(build_pages_dataset(sf_dir)), **kwargs)
+    return extract_pages(dedup_pages_by_url(build_pages_dataset(sf_dir)))

@@ -3687,7 +3687,7 @@ def q44_train_split(sf_dir: str) -> rd.Dataset:
     from ..stages.sampling import train_eval_split
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang"])
-    train, _ = train_eval_split(ds, "doc_id", train_frac_16ths=12)
+    train, _ = train_eval_split(ds, "doc_id")
     return train
 
 

@@ -34,40 +34,29 @@ from ..stages.selection import perplexity_tiers
 from .extract import build_pages_dataset, extract_pages
 
 
-def tier_extract(
-    pages: rd.Dataset,
-    *,
-    detect_lang: bool = True,
-    dedup_urls: bool = True,
-    min_text_chars: int = 1,
-    checkpoint: bool = True,
-    collect_cap: int = 100_000,
-    **extract_kwargs,
-) -> rd.Dataset:
+def tier_extract(pages: rd.Dataset, *, detect_lang: bool = True) -> rd.Dataset:
     """pages (url, warc_ts, html, …) → one row per successfully extracted
     unique url: (url, lang, n_tokens, avg_logprob, tier).
 
-    ``dedup_urls=True`` applies the north-rule exact url dedup BEFORE
-    extraction (Common-Crawl snapshots repeat urls; dedup ahead of the
-    expensive stage — never extract a url twice); the output is then one
-    row per url.  ``detect_lang=True`` re-derives the language from the
-    EXTRACTED text (CCNet order: extraction first, language ID second —
-    the page-table ``lang`` column describes the raw page, not what
-    survived boilerplate removal); ``False`` trusts the page column.
+    The north-rule exact url dedup runs BEFORE extraction (Common-Crawl
+    snapshots repeat urls; dedup ahead of the expensive stage — never
+    extract a url twice), so the output is one row per url; rows with
+    empty extracted text are dropped.  ``detect_lang=True`` re-derives the
+    language from the EXTRACTED text (CCNet order: extraction first,
+    language ID second — the page-table ``lang`` column describes the raw
+    page, not what survived boilerplate removal); ``False`` trusts the
+    page column.
     """
     from ..stages.text_analysis import add_language_id
     from .extract import dedup_pages_by_url
 
-    if dedup_urls:
-        pages = dedup_pages_by_url(pages)
-    extracted = extract_pages(pages, **extract_kwargs)
+    extracted = extract_pages(dedup_pages_by_url(pages))
 
     def slim(t: pa.Table) -> pa.Table:
         keep = pc.and_(
             pc.equal(t["status"], "ok"),
-            pc.greater_equal(
-                pc.utf8_length(pc.coalesce(t["extracted_text"], pa.scalar(""))),
-                min_text_chars,
+            pc.greater(
+                pc.utf8_length(pc.coalesce(t["extracted_text"], pa.scalar(""))), 0
             ),
         )
         t = t.filter(keep)
@@ -84,22 +73,16 @@ def tier_extract(
             }
         )
 
-    corpus = extracted.map_batches(slim, batch_format="pyarrow")
-    if checkpoint:
-        corpus = corpus.materialize()
+    # checkpoint: the LM-count, scoring and refinement scans each consume
+    # the slim corpus (module docstring)
+    corpus = extracted.map_batches(slim, batch_format="pyarrow").materialize()
 
-    return perplexity_tiers(
-        corpus,
-        text_col="text",
-        id_col="url",
-        group_col="lang",
-        collect_cap=collect_cap,
-    )
+    return perplexity_tiers(corpus, text_col="text", id_col="url", group_col="lang")
 
 
-def tier_extract_sf(sf_dir: str, **kwargs) -> rd.Dataset:
+def tier_extract_sf(sf_dir: str) -> rd.Dataset:
     """Capstone over one testdata sf dir (driver/bench entry)."""
-    return tier_extract(build_pages_dataset(sf_dir), **kwargs)
+    return tier_extract(build_pages_dataset(sf_dir))
 
 
 def write_tiered(ds: rd.Dataset, out_dir: str) -> None:

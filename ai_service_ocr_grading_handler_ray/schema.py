@@ -24,19 +24,20 @@ PAGES_SCHEMA = pa.schema(
 # --- flagship output: extraction result table -------------------------------
 # payload_kind in {"html", "pdf", "image", "blank", "error"}
 # status in {"ok", "blank", "error"}
-EXTRACTED_FIELDS = [
-    pa.field("url", pa.string()),
-    pa.field("warc_ts", pa.timestamp("us")),
-    pa.field("lang", pa.string()),
-    pa.field("payload_kind", pa.string()),
-    pa.field("title", pa.string()),
-    pa.field("extracted_text", pa.large_string()),
-    pa.field("content_sha256", pa.string()),
-    pa.field("n_blocks", pa.int32()),
-    pa.field("is_blank", pa.bool_()),
-    pa.field("status", pa.string()),
-]
-EXTRACTED_SCHEMA = pa.schema(EXTRACTED_FIELDS)
+EXTRACTED_SCHEMA = pa.schema(
+    [
+        pa.field("url", pa.string()),
+        pa.field("warc_ts", pa.timestamp("us")),
+        pa.field("lang", pa.string()),
+        pa.field("payload_kind", pa.string()),
+        pa.field("title", pa.string()),
+        pa.field("extracted_text", pa.large_string()),
+        pa.field("content_sha256", pa.string()),
+        pa.field("n_blocks", pa.int32()),
+        pa.field("is_blank", pa.bool_()),
+        pa.field("status", pa.string()),
+    ]
+)
 
 # --- grading-request table (reference reqobj shape, FIXTURES.md §2) ---------
 RUBRIC_TYPE = pa.list_(

@@ -1,77 +1,34 @@
 """Readers and the schema gate for the engine's tables (SURVEY.md §2.1).
 
-Scale discipline: every reader takes ``columns`` (pruned at the read) and
-an optional pyarrow filter expression (row-group pushdown).  Outputs go
-through ``Dataset.write_parquet`` into partitioned directories (never one
-giant file — resumable layout, see state/manifest.py).
+Outputs go through ``Dataset.write_parquet`` into partitioned directories
+(never one giant file — resumable layout, see state/manifest.py).
 """
 
 from __future__ import annotations
 
-import pyarrow.dataset as pads
+import base64
+
+import pyarrow as pa
 import ray.data as rd
 
-
-def read_pages(
-    paths: str | list[str],
-    *,
-    columns: list[str] | None = None,
-    filter_expr: "pads.Expression | None" = None,
-    override_num_blocks: int | None = None,
-) -> rd.Dataset:
-    """Pages table reader with column pruning + predicate pushdown."""
-    return rd.read_parquet(
-        paths,
-        columns=columns,
-        filter=filter_expr,
-        override_num_blocks=override_num_blocks,
-    )
+from .warc import read_warc
 
 
-def validate_schema(ds: rd.Dataset, expected, *, strict: bool = True) -> rd.Dataset:
-    """Declared-schema gate (the engine's replacement for the reference's
-    duck-typing): raises with a field-level diff instead of failing deep
-    inside a kernel."""
-    actual = ds.schema().base_schema
-    exp_fields = {f.name: f.type for f in expected}
-    act_fields = {f.name: f.type for f in actual}
-    missing = sorted(set(exp_fields) - set(act_fields))
-    extra = sorted(set(act_fields) - set(exp_fields))
-    wrong = sorted(
-        n for n in set(exp_fields) & set(act_fields) if exp_fields[n] != act_fields[n]
-    )
-    if missing or wrong or (strict and extra):
-        raise ValueError(
-            f"schema mismatch: missing={missing} wrong_type={wrong} extra={extra}"
-        )
-    return ds
+def read_pages(paths: str | list[str], *, fmt: str = "parquet") -> rd.Dataset:
+    """Pages reader over the interchange formats.
 
-
-def read_pages_any(
-    paths: str | list[str],
-    *,
-    fmt: str = "parquet",
-    columns: list[str] | None = None,
-) -> rd.Dataset:
-    """Pages reader over interchange formats.
-
-    ``parquet`` is the native layout (binary html column).  ``jsonl`` and
-    ``csv`` carry the html payload base64-encoded (text formats cannot
-    hold raw bytes) and ``warc_ts`` as epoch microseconds or an ISO
-    string; both decode inside map_batches into the native schema."""
+    ``parquet`` is the native layout (binary html column); ``warc`` parses
+    web archives (``read_warc``).  ``jsonl`` and ``csv`` carry the html
+    payload base64-encoded (text formats cannot hold raw bytes) and
+    ``warc_ts`` as epoch microseconds or an ISO string; both decode
+    inside map_batches into the native schema."""
     if fmt == "parquet":
-        return read_pages(paths, columns=columns)
+        return rd.read_parquet(paths)
     if fmt == "warc":
-        from .warc import read_warc
-
         return read_warc(paths)
     if fmt not in ("jsonl", "json", "csv"):
         raise ValueError(f"unsupported pages format: {fmt}")
     ds = rd.read_json(paths) if fmt in ("jsonl", "json") else rd.read_csv(paths)
-
-    import base64
-
-    import pyarrow as pa
 
     def decode(t: pa.Table) -> pa.Table:
         html = pa.array(
@@ -91,7 +48,7 @@ def read_pages_any(
             # astype from tz-aware raises in pandas 2)
             parsed = pd.to_datetime(ts_col.to_pylist(), utc=True).tz_localize(None)
             ts = pa.array(parsed.astype("datetime64[us]"))
-        out = pa.table(
+        return pa.table(
             {
                 "url": t["url"].cast(pa.string()),
                 "warc_ts": ts,
@@ -102,8 +59,24 @@ def read_pages_any(
                 else pa.nulls(len(t), type=pa.string()),
             }
         )
-        if columns:
-            out = out.select(columns)
-        return out
 
     return ds.map_batches(decode, batch_format="pyarrow")
+
+
+def validate_schema(ds: rd.Dataset, expected, *, strict: bool = True) -> rd.Dataset:
+    """Declared-schema gate (the engine's replacement for the reference's
+    duck-typing): raises with a field-level diff instead of failing deep
+    inside a kernel."""
+    actual = ds.schema().base_schema
+    exp_fields = {f.name: f.type for f in expected}
+    act_fields = {f.name: f.type for f in actual}
+    missing = sorted(set(exp_fields) - set(act_fields))
+    extra = sorted(set(act_fields) - set(exp_fields))
+    wrong = sorted(
+        n for n in set(exp_fields) & set(act_fields) if exp_fields[n] != act_fields[n]
+    )
+    if missing or wrong or (strict and extra):
+        raise ValueError(
+            f"schema mismatch: missing={missing} wrong_type={wrong} extra={extra}"
+        )
+    return ds

@@ -147,8 +147,6 @@ PAGE_RECORD_TYPES = ("response", "conversion", "resource")
 
 def parse_warc_records(
     blob: bytes,
-    *,
-    keep_types: tuple = PAGE_RECORD_TYPES,
 ) -> tuple[list[str], list[int], list[bytes], list[str], list[int], list[str]]:
     """One WARC file body → (urls, ts_us, payloads, record_types,
     http_statuses, mimes) for the page-bearing records.
@@ -188,7 +186,7 @@ def parse_warc_records(
         payload = blob[body_start : body_start + length]
         pos = body_start + length + 4  # skip payload + record CRLFCRLF
         rtype = fields.get("warc-type", "response").lower()
-        if rtype not in keep_types:
+        if rtype not in PAGE_RECORD_TYPES:
             continue
         status, mime = 0, fields.get("content-type", "")
         if rtype == "response" and mime.lower().startswith("application/http"):
@@ -204,13 +202,7 @@ def parse_warc_records(
     return urls, ts_us, payloads, rtypes, statuses, mimes
 
 
-def read_warc(
-    paths: str | list[str],
-    *,
-    with_meta: bool = False,
-    keep_types: tuple = PAGE_RECORD_TYPES,
-    **read_kwargs,
-) -> rd.Dataset:
+def read_warc(paths: str | list[str], *, with_meta: bool = False) -> rd.Dataset:
     """WARC files → pages Dataset (url, warc_ts, html; plus
     record_type/http_status/mime under ``with_meta``).  Full framing:
     warcinfo/request/metadata/revisit records are skipped, response
@@ -219,7 +211,7 @@ def read_warc(
     per archive; the parse runs inside map_batches, so N archive files
     parse with N-way parallelism and stream under backpressure — no
     driver-side file handling."""
-    raw = rd.read_binary_files(paths, **read_kwargs)
+    raw = rd.read_binary_files(paths)
 
     def parse(t: pa.Table) -> pa.Table:
         urls: list[str] = []
@@ -229,7 +221,7 @@ def read_warc(
         statuses: list[int] = []
         mimes: list[str] = []
         for blob in t["bytes"].to_pylist():
-            u, s, p, r, st, mi = parse_warc_records(blob, keep_types=keep_types)
+            u, s, p, r, st, mi = parse_warc_records(blob)
             urls.extend(u)
             ts.extend(s)
             payloads.extend(p)

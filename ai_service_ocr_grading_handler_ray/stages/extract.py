@@ -26,6 +26,7 @@ import pyarrow as pa
 
 from ..config import get_policy
 from ..payloads import decode_pdf_glyphs
+from ..schema import EXTRACTED_SCHEMA
 from .html_extract import extract_html_fused, extract_html_with_title
 from .ocr import OcrEngine
 from .pdf_layout import parse_pdf_layout
@@ -124,19 +125,21 @@ class ExtractActor:
             if "lang" in batch.column_names
             else pa.nulls(n, type=pa.string())
         )
-        return pa.table(
-            {
-                "url": batch["url"],
-                "warc_ts": batch["warc_ts"],
-                "lang": lang_col,
-                "payload_kind": batch["payload_kind"],
-                "title": pa.array(titles, type=pa.string()),
-                "extracted_text": pa.array(texts, type=pa.large_string()),
-                "content_sha256": pa.array(digests, type=pa.string()),
-                "n_blocks": pa.array(blocks),
-                "is_blank": pa.array(is_blank),
-                "status": pa.array(statuses, type=pa.string()),
-            }
+        # from_arrays casts each column to its declared type (safe casts)
+        return pa.Table.from_arrays(
+            [
+                batch["url"],
+                batch["warc_ts"],
+                lang_col,
+                batch["payload_kind"],
+                pa.array(titles),
+                pa.array(texts),
+                pa.array(digests),
+                pa.array(blocks),
+                pa.array(is_blank),
+                pa.array(statuses),
+            ],
+            schema=EXTRACTED_SCHEMA,
         )
 
 

@@ -1,10 +1,12 @@
-"""OCR stage for image-only pages — actor-pool `map_batches` class.
+"""OCR engine for image-only pages.
 
 The reference sends image crops to vision LLMs (claude_vision_calling,
 ``ocr_llm_calling_modules.py:49-79``; cv2 decode at
-``llm_number_prediction.py:39-55``).  Here OCR is a local engine hosted in
-an actor pool: expensive engine initialisation happens once per actor in
-``__init__`` (SURVEY.md T1), per-batch work in ``__call__``.
+``llm_number_prediction.py:39-55``).  Here OCR is a local engine owned by
+the Stage-A ``ExtractActor`` (stages/extract.py): engine initialisation
+happens once per engine in ``__init__`` (SURVEY.md T1), and the engine is
+cached per worker process by ``extract_batch_task``; ``recognize`` runs
+per image row.
 
 Tesseract/pytesseract and PIL are not present in this container, so the
 real decode path is gated behind an import-try; the deterministic
@@ -26,11 +28,11 @@ except ImportError:
 
 
 class OcrEngine:
-    """Warm per-actor OCR state.  ``recognize`` maps payload bytes → text."""
+    """Warm per-engine OCR state.  ``recognize`` maps payload bytes → text."""
 
     def __init__(self) -> None:
         # Real path: configure a tesseract API handle here (loaded once per
-        # actor; amortized over every batch the actor processes).
+        # engine; amortized over every batch the engine processes).
         self.have_tesseract = _HAVE_TESSERACT
 
     def recognize(self, payload: bytes) -> str:

@@ -33,18 +33,19 @@ def hash_bucket_filter(batch: pa.Table, id_col: str, lo: str, hi: str) -> pa.Tab
     return batch.filter(mask)
 
 
-def train_eval_split(
-    ds: rd.Dataset, id_col: str, train_frac_16ths: int = 12
-) -> tuple[rd.Dataset, rd.Dataset]:
-    """Split by the first md5 hex nibble: nibbles < ``train_frac_16ths``
-    go to train (12/16 = 75%).  Rows never migrate between splits as the
-    data or cluster grows."""
-    cut = format(train_frac_16ths, "x")
+# md5 hex digests below this go to train: first nibble < 0xc, 12/16 = 75%
+TRAIN_CUT = "c"
+
+
+def train_eval_split(ds: rd.Dataset, id_col: str) -> tuple[rd.Dataset, rd.Dataset]:
+    """Split by the first md5 hex nibble: digests < ``TRAIN_CUT`` go to
+    train (75%).  Rows never migrate between splits as the data or
+    cluster grows."""
     train = ds.map_batches(
-        lambda t: hash_bucket_filter(t, id_col, "0", cut), batch_format="pyarrow"
+        lambda t: hash_bucket_filter(t, id_col, "0", TRAIN_CUT), batch_format="pyarrow"
     )
     eval_ = ds.map_batches(
-        lambda t: hash_bucket_filter(t, id_col, cut, "g"), batch_format="pyarrow"
+        lambda t: hash_bucket_filter(t, id_col, TRAIN_CUT, "g"), batch_format="pyarrow"
     )
     return train, eval_
 

@@ -9,14 +9,18 @@ groups and commits a manifest row per finished partition:
     out_dir/
       part=0000/ *.parquet            (atomic: written to .tmp, renamed)
       manifest/part-0000.json         {partition_id, input_files, row_count,
-                                       n_ok, digest}   (written last)
+                                       n_ok, digest, wall_s, docs_per_sec}
+                                      (written last)
 
 ``digest`` is the sha256 of the sorted per-row ``content_sha256`` values —
 an order-insensitive content fingerprint, so two runs producing the same
-rows in any order commit identical manifests.  On restart, partitions with
-a committed manifest are skipped (an anti-join of input partitions against
-the manifest set); a crash between data rename and manifest write is safe
-because the rerun overwrites the partition directory before re-renaming.
+rows in any order commit identical manifests.  ``committed_manifests`` is
+the one loader of the manifest set, used by resume and the metrics rollup.
+On restart, a partition with a committed manifest is skipped when its
+``input_files`` equal the partition's current files (absolute paths, so a
+relative glob run from another directory does not match); a crash between
+data rename and manifest write is safe because the rerun overwrites the
+partition directory before re-renaming.
 
 Each partition is one lazy Ray Data pipeline (read → classify → extract →
 write); partitions run sequentially on the driver but every stage inside a
@@ -30,12 +34,13 @@ import hashlib
 import json
 import os
 import shutil
+import time
 
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
-import ray.data as rd
 
 from ..pipelines.extract import extract_pages
+from ..sources.readers import read_pages
 
 
 def _partitions(input_files: list[str], partition_size: int) -> list[list[str]]:
@@ -43,15 +48,16 @@ def _partitions(input_files: list[str], partition_size: int) -> list[list[str]]:
     return [files[i : i + partition_size] for i in range(0, len(files), partition_size)]
 
 
-def completed_partitions(out_dir: str) -> set[int]:
+def committed_manifests(out_dir: str) -> dict[int, dict]:
+    """partition_id → committed manifest, for every partition of
+    ``out_dir`` whose manifest was written (the commit point)."""
     mdir = os.path.join(out_dir, "manifest")
-    if not os.path.isdir(mdir):
-        return set()
-    done = set()
-    for name in os.listdir(mdir):
+    out: dict[int, dict] = {}
+    for name in sorted(os.listdir(mdir)) if os.path.isdir(mdir) else []:
         if name.startswith("part-") and name.endswith(".json"):
-            done.add(int(name[5:-5]))
-    return done
+            with open(os.path.join(mdir, name)) as f:
+                out[int(name[5:-5])] = json.load(f)
+    return out
 
 
 def _rollup(part_dir: str) -> tuple[int, int, str]:
@@ -66,12 +72,10 @@ def _rollup(part_dir: str) -> tuple[int, int, str]:
     return tbl.num_rows, n_ok, digest
 
 
-def run_partition(pid: int, files: list[str], out_dir: str, **extract_kwargs) -> dict:
+def run_partition(pid: int, files: list[str], out_dir: str, input_format: str) -> dict:
     """Process one input partition end-to-end, atomically.  The manifest
     records lineage (input files) AND per-partition metrics (wall seconds,
     docs/sec) — the engine's replacement for dashboard counters."""
-    import time
-
     part_dir = os.path.join(out_dir, f"part={pid:04d}")
     tmp_dir = part_dir + ".tmp"
     if os.path.isdir(tmp_dir):
@@ -80,11 +84,7 @@ def run_partition(pid: int, files: list[str], out_dir: str, **extract_kwargs) ->
         shutil.rmtree(part_dir)
 
     t0 = time.perf_counter()
-    input_format = extract_kwargs.pop("input_format", "parquet")
-    from ..sources.readers import read_pages_any
-
-    pages = read_pages_any(files, fmt=input_format)
-    result = extract_pages(pages, **extract_kwargs)
+    result = extract_pages(read_pages(files, fmt=input_format))
     result.write_parquet(tmp_dir)
     wall_s = time.perf_counter() - t0
     os.replace(tmp_dir, part_dir)
@@ -115,15 +115,15 @@ def resumable_extract(
     out_dir: str,
     *,
     partition_size: int = 4,
+    input_format: str = "parquet",
     max_partitions: int | None = None,
-    **extract_kwargs,
 ) -> list[dict]:
     """Run (or resume) the flagship over ``input_files``; returns the
     manifests of partitions processed *this* call.  ``max_partitions``
     exists for the kill/restart test."""
     os.makedirs(out_dir, exist_ok=True)
-    done = completed_partitions(out_dir)
-    parts = _partitions(input_files, partition_size)
+    done = committed_manifests(out_dir)
+    parts = _partitions([os.path.abspath(f) for f in input_files], partition_size)
     # a committed partition BEYOND the current partition count holds rows
     # from inputs no longer in the job — its files would silently remain
     # part of the output dataset; refuse rather than serve stale rows
@@ -137,16 +137,13 @@ def resumable_extract(
         )
     out: list[dict] = []
     for pid, files in enumerate(parts):
-        if pid in done:
-            # lineage check: a committed partition is only skippable if it
-            # covers the SAME input files — if the input list changed, the
-            # sorted chunking shifts the pid→files mapping and the old
-            # partition silently holds stale rows.  Reprocess on mismatch.
-            with open(os.path.join(out_dir, "manifest", f"part-{pid:04d}.json")) as f:
-                committed = json.load(f)
-            if committed.get("input_files") == files:
-                continue
-        out.append(run_partition(pid, files, out_dir, **extract_kwargs))
+        # lineage check: a committed partition is only skippable if it
+        # covers the SAME input files — if the input list changed, the
+        # sorted chunking shifts the pid→files mapping and the old
+        # partition silently holds stale rows.  Reprocess on mismatch.
+        if pid in done and done[pid].get("input_files") == files:
+            continue
+        out.append(run_partition(pid, files, out_dir, input_format))
         if max_partitions is not None and len(out) >= max_partitions:
             break
     return out
@@ -155,22 +152,14 @@ def resumable_extract(
 def metrics_rollup(out_dir: str) -> dict:
     """A7 global rollup over committed partition manifests: totals +
     aggregate docs/sec (the job-level metrics surface)."""
-    mdir = os.path.join(out_dir, "manifest")
-    rows = ok = 0
-    wall = 0.0
-    parts = 0
-    for name in sorted(os.listdir(mdir)) if os.path.isdir(mdir) else []:
-        if name.startswith("part-") and name.endswith(".json"):
-            with open(os.path.join(mdir, name)) as f:
-                m = json.load(f)
-            rows += m["row_count"]
-            ok += m["n_ok"]
-            wall += m.get("wall_s", 0.0)
-            parts += 1
+    manifests = committed_manifests(out_dir)
+    rows = sum(m["row_count"] for m in manifests.values())
+    wall = sum(m.get("wall_s", 0.0) for m in manifests.values())
     return {
-        "partitions": parts,
+        "partitions": len(manifests),
+        "partition_ids": sorted(manifests),
         "rows": rows,
-        "n_ok": ok,
+        "n_ok": sum(m["n_ok"] for m in manifests.values()),
         "sum_wall_s": round(wall, 3),
         "docs_per_sec": round(rows / wall, 1) if wall else 0.0,
     }

@@ -4,6 +4,7 @@ the shared Ray session (the CLI only shuts Ray down when it owns it)."""
 import json
 
 import pyarrow.parquet as pq
+import pytest
 
 from ai_service_ocr_grading_handler_ray.cli import main
 from ai_service_ocr_grading_handler_ray.synth import docs_to_grading_requests
@@ -72,8 +73,10 @@ def test_questions_command(tmp_path, capsys):
     assert qs.num_rows == 3
 
 
-def test_bad_input_glob(tmp_path, capsys):
-    assert main(["extract", "--input", f"{tmp_path}/nope*.parquet", "--out", str(tmp_path / "o")]) == 2
+@pytest.mark.parametrize("job", ["extract", "curate", "tier"])
+def test_bad_input_glob(tmp_path, capsys, job):
+    assert main([job, "--input", f"{tmp_path}/nope*.parquet", "--out", str(tmp_path / "o")]) == 2
+    assert "no input files match" in capsys.readouterr().err
 
 
 def test_curate_and_dedup_cli(tmp_path, sf_dir, capsys):
@@ -106,7 +109,7 @@ def test_metrics_cli(tmp_path, sf_dir, capsys):
     assert main(["metrics", "--out", str(out)]) == 0
     m = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert m["rows"] == 500 and m["partitions"] >= 1
-    assert m["completed_partitions"] == list(range(m["partitions"]))
+    assert m["partition_ids"] == list(range(m["partitions"]))
     assert m["docs_per_sec"] > 0
     # bad dir → exit 2
     assert main(["metrics", "--out", str(tmp_path / "nope")]) == 2

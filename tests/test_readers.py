@@ -1,25 +1,7 @@
-"""Reader surface: column pruning, predicate pushdown, interchange formats."""
+"""Reader surface: interchange formats, WARC framing."""
 
-import pyarrow.dataset as pads
-
+from ai_service_ocr_grading_handler_ray.schema import EXTRACTED_SCHEMA
 from ai_service_ocr_grading_handler_ray.sources.readers import read_pages
-
-
-def test_read_pages_prunes_and_pushes_down(tmp_path, sf_dir):
-    from ai_service_ocr_grading_handler_ray.pipelines.extract import build_pages_dataset
-
-    src = str(tmp_path / "pages")
-    build_pages_dataset(sf_dir).write_parquet(src)
-
-    ds = read_pages(
-        src,
-        columns=["url", "lang"],
-        filter_expr=(pads.field("lang") == "en"),
-    )
-    df = ds.to_pandas()
-    assert list(df.columns) == ["url", "lang"]
-    assert (df["lang"] == "en").all()
-    assert 0 < len(df) < 500
 
 
 def test_jsonl_and_csv_pages_match_parquet_extraction(tmp_path, sf_dir):
@@ -32,7 +14,6 @@ def test_jsonl_and_csv_pages_match_parquet_extraction(tmp_path, sf_dir):
     import pyarrow.parquet as pq
 
     from ai_service_ocr_grading_handler_ray.pipelines.extract import extract_pages
-    from ai_service_ocr_grading_handler_ray.sources.readers import read_pages_any
     from ai_service_ocr_grading_handler_ray.synth import docs_to_pages
 
     docs = pq.read_table(f"{sf_dir}/documents.parquet").slice(0, 120)
@@ -60,7 +41,9 @@ def test_jsonl_and_csv_pages_match_parquet_extraction(tmp_path, sf_dir):
     }).to_csv(csv_path, index=False)
 
     def digests(fmt, path):
-        out = extract_pages(read_pages_any(str(path), fmt=fmt)).to_pandas()
+        ds = extract_pages(read_pages(str(path), fmt=fmt))
+        assert ds.schema().base_schema == EXTRACTED_SCHEMA
+        out = ds.to_pandas()
         return sorted(zip(out["url"], out["content_sha256"]))
 
     ref = digests("parquet", pq_path)
@@ -68,13 +51,11 @@ def test_jsonl_and_csv_pages_match_parquet_extraction(tmp_path, sf_dir):
     assert digests("csv", csv_path) == ref
 
 
-def test_read_pages_any_rejects_unknown_format():
+def test_read_pages_rejects_unknown_format():
     import pytest
 
-    from ai_service_ocr_grading_handler_ray.sources.readers import read_pages_any
-
     with pytest.raises(ValueError, match="unsupported pages format"):
-        read_pages_any("/tmp/x.avro", fmt="avro")
+        read_pages("/tmp/x.avro", fmt="avro")
 
 
 class TestWarcLite:
@@ -149,7 +130,9 @@ class TestWarcLite:
         )
 
         (tmp_path / "c.warc.gz").write_bytes(pages_to_warc_bytes(self._pages()))
-        out = extract_pages(read_warc(str(tmp_path / "c.warc.gz"))).to_pandas()
+        ds = extract_pages(read_warc(str(tmp_path / "c.warc.gz")))
+        assert ds.schema().base_schema == EXTRACTED_SCHEMA
+        out = ds.to_pandas()
         assert len(out) == 40
         assert (out["status"] == "ok").sum() > 30
 

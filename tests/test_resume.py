@@ -8,7 +8,7 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from ai_service_ocr_grading_handler_ray.state.manifest import (
-    completed_partitions,
+    committed_manifests,
     resumable_extract,
 )
 from ai_service_ocr_grading_handler_ray.synth import docs_to_pages
@@ -49,7 +49,7 @@ def test_resume_exact(tmp_path, sf_dir):
     out_dir = str(tmp_path / "out")
     first = resumable_extract(files, out_dir, partition_size=1, max_partitions=2)
     assert len(first) == 2
-    assert completed_partitions(out_dir) == {0, 1}
+    assert set(committed_manifests(out_dir)) == {0, 1}
     mtimes = {
         p: os.path.getmtime(os.path.join(out_dir, "manifest", p))
         for p in os.listdir(os.path.join(out_dir, "manifest"))
@@ -102,7 +102,7 @@ def test_changed_input_list_reprocesses(tmp_path, sf_dir):
     files = _make_input(tmp_path, sf_dir, n_files=4)
     out_dir = str(tmp_path / "lineage")
     resumable_extract(files, out_dir, partition_size=2)
-    assert completed_partitions(out_dir) == {0, 1}
+    assert set(committed_manifests(out_dir)) == {0, 1}
 
     # drop the first file: sorted chunking shifts every pid→files mapping
     shifted = files[1:]
@@ -116,6 +116,46 @@ def test_changed_input_list_reprocesses(tmp_path, sf_dir):
     assert resumable_extract(shifted, out_dir, partition_size=2) == []
 
 
+def test_same_relative_names_from_another_cwd_reprocess(tmp_path, sf_dir, monkeypatch):
+    """Lineage is kept as absolute paths: the same relative glob run from
+    another working directory names different files, so the committed
+    partitions are re-extracted from the new content, not served stale."""
+    import subprocess
+    import sys
+
+    import ai_service_ocr_grading_handler_ray as pkg
+
+    (tmp_path / "a").mkdir()
+    _make_input(tmp_path / "a", sf_dir, n_files=2)  # 2 x 250 rows
+    b_pages = tmp_path / "b" / "pages"
+    b_pages.mkdir(parents=True)
+    docs = pq.read_table(f"{sf_dir}/documents.parquet").slice(300, 100)
+    for i in range(2):
+        pages = docs_to_pages(docs.slice(i * 50, 50))
+        pq.write_table(pages, str(b_pages / f"pages-{i}.parquet"))
+    out_dir = str(tmp_path / "out")
+
+    # first run: the CLI from a/, in its own process (its Ray workers
+    # resolve relative paths against a/)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(pkg.__file__)))
+    subprocess.run(
+        [sys.executable, "-m", "ai_service_ocr_grading_handler_ray", "--num-cpus", "1",
+         "extract", "--input", "pages/*.parquet", "--out", out_dir,
+         "--partition-size", "1"],
+        cwd=tmp_path / "a", env={**os.environ, "PYTHONPATH": root},
+        check=True, timeout=300,
+    )
+    monkeypatch.chdir(tmp_path / "b")
+    redone = resumable_extract(
+        ["pages/pages-0.parquet", "pages/pages-1.parquet"], out_dir, partition_size=1
+    )
+
+    assert [m["input_files"] for m in redone] == [
+        [str(b_pages / "pages-0.parquet")], [str(b_pages / "pages-1.parquet")]
+    ]
+    assert len(_digests(out_dir)) == 100  # no stale rows from a/
+
+
 def test_shrunken_input_with_orphan_partitions_refuses(tmp_path, sf_dir):
     """If the input list shrinks below the committed partition count, the
     orphaned partitions would silently stay in the output — resume must
@@ -125,7 +165,7 @@ def test_shrunken_input_with_orphan_partitions_refuses(tmp_path, sf_dir):
     files = _make_input(tmp_path, sf_dir, n_files=4)
     out_dir = str(tmp_path / "orphan")
     resumable_extract(files, out_dir, partition_size=1)
-    assert completed_partitions(out_dir) == {0, 1, 2, 3}
+    assert set(committed_manifests(out_dir)) == {0, 1, 2, 3}
 
     with pytest.raises(RuntimeError, match="beyond the current input"):
         resumable_extract(files[:2], out_dir, partition_size=1)
@@ -136,10 +176,6 @@ def test_resumable_extract_warc_inputs(tmp_path):
     archive file, committed with manifests, exact resume."""
     import pyarrow.parquet as pq
 
-    from ai_service_ocr_grading_handler_ray.state.manifest import (
-        completed_partitions,
-        resumable_extract,
-    )
     from ai_service_ocr_grading_handler_ray.sources.warc import pages_to_warc_bytes
     from ai_service_ocr_grading_handler_ray.synth import docs_to_pages
 
@@ -158,11 +194,11 @@ def test_resumable_extract_warc_inputs(tmp_path):
     first = resumable_extract(
         files, out_dir, partition_size=2, max_partitions=1, input_format="warc"
     )
-    assert len(first) == 1 and completed_partitions(out_dir) == {0}
+    assert len(first) == 1 and set(committed_manifests(out_dir)) == {0}
     rest = resumable_extract(
         files, out_dir, partition_size=2, input_format="warc"
     )
-    assert len(rest) == 1 and completed_partitions(out_dir) == {0, 1}
+    assert len(rest) == 1 and set(committed_manifests(out_dir)) == {0, 1}
     import pyarrow.dataset as pads
 
     total = pads.dataset(out_dir + "/part=0000", format="parquet").count_rows()

@@ -17,7 +17,7 @@ from ai_service_ocr_grading_handler_ray.stages.sampling import (
 
 def test_split_partitions_exactly(sf_dir):
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    train, ev = train_eval_split(ds, "doc_id", train_frac_16ths=12)
+    train, ev = train_eval_split(ds, "doc_id")
     t_ids = set(train.to_pandas()["doc_id"])
     e_ids = set(ev.to_pandas()["doc_id"])
     assert t_ids | e_ids == set(range(500))
@@ -27,7 +27,7 @@ def test_split_partitions_exactly(sf_dir):
 
 def test_split_matches_duckdb_md5(sf_dir):
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    train, _ = train_eval_split(ds, "doc_id", train_frac_16ths=12)
+    train, _ = train_eval_split(ds, "doc_id")
     mine = sorted(train.to_pandas()["doc_id"])
     ref = duckdb.sql(
         f"""SELECT doc_id FROM read_parquet('{sf_dir}/documents.parquet')
