@@ -14,21 +14,28 @@ import ray.data as rd
 from .warc import read_warc
 
 
-def read_pages(paths: str | list[str], *, fmt: str = "parquet") -> rd.Dataset:
+def read_pages(
+    paths: str | list[str], *, fmt: str = "parquet", include_paths: bool = False
+) -> rd.Dataset:
     """Pages reader over the interchange formats.
 
     ``parquet`` is the native layout (binary html column); ``warc`` parses
     web archives (``read_warc``).  ``jsonl`` and ``csv`` carry the html
     payload base64-encoded (text formats cannot hold raw bytes) and
     ``warc_ts`` as epoch microseconds or an ISO string; both decode
-    inside map_batches into the native schema."""
+    inside map_batches into the native schema.
+
+    ``include_paths`` is Ray's reader option: every row gains a ``path``
+    column naming its input file, in every format (resumable extraction
+    routes rows to their partition by it)."""
     if fmt == "parquet":
-        return rd.read_parquet(paths)
+        return rd.read_parquet(paths, include_paths=include_paths)
     if fmt == "warc":
-        return read_warc(paths)
+        return read_warc(paths, include_paths=include_paths)
     if fmt not in ("jsonl", "json", "csv"):
         raise ValueError(f"unsupported pages format: {fmt}")
-    ds = rd.read_json(paths) if fmt in ("jsonl", "json") else rd.read_csv(paths)
+    read = rd.read_json if fmt in ("jsonl", "json") else rd.read_csv
+    ds = read(paths, include_paths=include_paths)
 
     def decode(t: pa.Table) -> pa.Table:
         html = pa.array(
@@ -48,17 +55,18 @@ def read_pages(paths: str | list[str], *, fmt: str = "parquet") -> rd.Dataset:
             # astype from tz-aware raises in pandas 2)
             parsed = pd.to_datetime(ts_col.to_pylist(), utc=True).tz_localize(None)
             ts = pa.array(parsed.astype("datetime64[us]"))
-        return pa.table(
-            {
-                "url": t["url"].cast(pa.string()),
-                "warc_ts": ts,
-                "html": html,
-                "text": t["text"].cast(pa.string()) if "text" in t.column_names
-                else pa.nulls(len(t), type=pa.string()),
-                "lang": t["lang"].cast(pa.string()) if "lang" in t.column_names
-                else pa.nulls(len(t), type=pa.string()),
-            }
-        )
+        cols = {
+            "url": t["url"].cast(pa.string()),
+            "warc_ts": ts,
+            "html": html,
+            "text": t["text"].cast(pa.string()) if "text" in t.column_names
+            else pa.nulls(len(t), type=pa.string()),
+            "lang": t["lang"].cast(pa.string()) if "lang" in t.column_names
+            else pa.nulls(len(t), type=pa.string()),
+        }
+        if "path" in t.column_names:
+            cols["path"] = t["path"]
+        return pa.table(cols)
 
     return ds.map_batches(decode, batch_format="pyarrow")
 

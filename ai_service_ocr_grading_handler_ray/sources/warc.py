@@ -202,7 +202,9 @@ def parse_warc_records(
     return urls, ts_us, payloads, rtypes, statuses, mimes
 
 
-def read_warc(paths: str | list[str], *, with_meta: bool = False) -> rd.Dataset:
+def read_warc(
+    paths: str | list[str], *, with_meta: bool = False, include_paths: bool = False
+) -> rd.Dataset:
     """WARC files → pages Dataset (url, warc_ts, html; plus
     record_type/http_status/mime under ``with_meta``).  Full framing:
     warcinfo/request/metadata/revisit records are skipped, response
@@ -210,8 +212,9 @@ def read_warc(paths: str | list[str], *, with_meta: bool = False) -> rd.Dataset:
     real Common-Crawl segments ingest unmodified.  One binary-file row
     per archive; the parse runs inside map_batches, so N archive files
     parse with N-way parallelism and stream under backpressure — no
-    driver-side file handling."""
-    raw = rd.read_binary_files(paths)
+    driver-side file handling.  ``include_paths`` adds each record's
+    archive file as a ``path`` column."""
+    raw = rd.read_binary_files(paths, include_paths=include_paths)
 
     def parse(t: pa.Table) -> pa.Table:
         urls: list[str] = []
@@ -220,8 +223,11 @@ def read_warc(paths: str | list[str], *, with_meta: bool = False) -> rd.Dataset:
         rtypes: list[str] = []
         statuses: list[int] = []
         mimes: list[str] = []
-        for blob in t["bytes"].to_pylist():
+        files: list[str] = []
+        blob_paths = t["path"].to_pylist() if include_paths else [None] * len(t)
+        for blob, path in zip(t["bytes"].to_pylist(), blob_paths):
             u, s, p, r, st, mi = parse_warc_records(blob)
+            files.extend([path] * len(u))
             urls.extend(u)
             ts.extend(s)
             payloads.extend(p)
@@ -237,6 +243,8 @@ def read_warc(paths: str | list[str], *, with_meta: bool = False) -> rd.Dataset:
             cols["record_type"] = pa.array(rtypes, type=pa.string())
             cols["http_status"] = pa.array(statuses, type=pa.int64())
             cols["mime"] = pa.array(mimes, type=pa.string())
+        if include_paths:
+            cols["path"] = pa.array(files, type=pa.string())
         return pa.table(cols)
 
     return raw.map_batches(parse, batch_format="pyarrow")

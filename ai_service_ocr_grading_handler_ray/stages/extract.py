@@ -42,7 +42,8 @@ class ExtractActor:
     in an actor pool when the OCR engine carries heavy state.
 
     Input batch columns: url, warc_ts, html(binary), text, lang,
-    payload_kind.  Output: EXTRACTED_SCHEMA (schema.py).  HTML thresholds
+    payload_kind, and optionally path.  Output: EXTRACTED_SCHEMA
+    (schema.py), then ``path`` when the input has it.  HTML thresholds
     come from the per-lang policy table (config.EXTRACTION_POLICIES).
     """
 
@@ -126,7 +127,7 @@ class ExtractActor:
             else pa.nulls(n, type=pa.string())
         )
         # from_arrays casts each column to its declared type (safe casts)
-        return pa.Table.from_arrays(
+        out = pa.Table.from_arrays(
             [
                 batch["url"],
                 batch["warc_ts"],
@@ -141,6 +142,11 @@ class ExtractActor:
             ],
             schema=EXTRACTED_SCHEMA,
         )
+        # the input file (read_pages(include_paths=True)) rides along so
+        # resumable extraction can route each row to its partition
+        if "path" in batch.column_names:
+            out = out.append_column("path", batch["path"])
+        return out
 
 
 # --- stateless tasks with a per-worker engine cache -------------------------

@@ -18,34 +18,62 @@ rows in any order commit identical manifests.  ``committed_manifests`` is
 the one loader of the manifest set, used by resume and the metrics rollup.
 On restart, a partition with a committed manifest is skipped when its
 ``input_files`` equal the partition's current files (absolute paths, so a
-relative glob run from another directory does not match); a crash between
-data rename and manifest write is safe because the rerun overwrites the
-partition directory before re-renaming.
+relative glob run from another directory does not match; a path given
+twice is read once); a crash between data rename and manifest write is
+safe because the rerun clears the partition directory before extracting.
 
-Each partition is one lazy Ray Data pipeline (read → classify → extract →
-write); partitions run sequentially on the driver but every stage inside a
-partition is fully parallel, so with partition_size × file_size ≫ cluster
-throughput quantum the sequential loop costs nothing at scale.
+One ``resumable_extract`` call is ONE lazy Ray Data execution over every
+pending partition's files: read (``include_paths=True``) → classify →
+extract → a writer ``map_batches`` that writes each partition's rows of a
+batch to ``part=NNNN.tmp/<uuid>.parquet`` and returns a small record
+(pid, file, rows, n_ok, row digests).  The driver iterates the records
+with ``preserve_order`` set on that dataset's own context (the global
+``DataContext`` is untouched), so records arrive in input order and pids
+ascend: when a record for a later pid arrives, every earlier pending
+partition is complete, and at the end of the stream all of them are.
+``run_partition`` then commits it: delete tmp files no record names (a
+failed task attempt's output), check the Parquet footer row counts
+against the records, rename ``.tmp`` → ``part=NNNN``, write the manifest.
+On a multi-core host ``preserve_order`` holds back blocks that finish
+ahead of an earlier one; N → 4N scaling of this path is not measured.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import itertools
 import json
 import os
 import shutil
 import time
+import uuid
 
+import numpy as np
+import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 
 from ..pipelines.extract import extract_pages
 from ..sources.readers import read_pages
+
+# one record per file the writer commits to a partition's tmp dir
+_RECORD_SCHEMA = pa.schema([
+    ("pid", pa.int64()),
+    ("file", pa.string()),
+    ("rows", pa.int64()),
+    ("n_ok", pa.int64()),
+    ("digests", pa.list_(pa.string())),
+])
 
 
 def _partitions(input_files: list[str], partition_size: int) -> list[list[str]]:
     files = sorted(input_files)
     return [files[i : i + partition_size] for i in range(0, len(files), partition_size)]
+
+
+def _part_dir(out_dir: str, pid: int) -> str:
+    return os.path.join(out_dir, f"part={pid:04d}")
 
 
 def committed_manifests(out_dir: str) -> dict[int, dict]:
@@ -60,42 +88,63 @@ def committed_manifests(out_dir: str) -> dict[int, dict]:
     return out
 
 
-def _rollup(part_dir: str) -> tuple[int, int, str]:
-    """(row_count, n_ok, order-insensitive digest) from written parquet —
-    reads only the two small metadata columns back."""
-    tbl = pads.dataset(part_dir, format="parquet").to_table(
-        columns=["content_sha256", "status"]
-    )
-    hashes = sorted(tbl["content_sha256"].to_pylist())
-    n_ok = tbl.filter(pc.equal(tbl["status"], "ok")).num_rows
-    digest = hashlib.sha256("".join(hashes).encode()).hexdigest()
-    return tbl.num_rows, n_ok, digest
+def _write_partitions(batch: pa.Table, out_dir: str, pid_of: dict[str, int]) -> pa.Table:
+    """Writer stage (runs in the map task): each run of one partition's
+    rows in ``batch`` → a new Parquet file in that partition's tmp dir
+    (temp name, then ``os.replace``); returns one record per file.  The
+    tmp dirs exist already, so a write for a partition that has been
+    committed fails instead of creating a stray directory."""
+    pids = np.array([pid_of[p] for p in batch["path"].to_pylist()], dtype=np.int64)
+    rows = batch.drop_columns(["path"])
+    starts = np.flatnonzero(np.diff(pids, prepend=-1))
+    recs: dict[str, list] = {name: [] for name in _RECORD_SCHEMA.names}
+    for lo, hi in zip(starts, np.append(starts[1:], len(pids))):
+        part = rows.slice(lo, hi - lo)
+        pid = int(pids[lo])
+        name = f"{uuid.uuid4().hex}.parquet"
+        path = os.path.join(_part_dir(out_dir, pid) + ".tmp", name)
+        pq.write_table(part, path + ".inflight")
+        os.replace(path + ".inflight", path)
+        recs["pid"].append(pid)
+        recs["file"].append(name)
+        recs["rows"].append(part.num_rows)
+        recs["n_ok"].append(pc.sum(pc.equal(part["status"], "ok")).as_py() or 0)
+        recs["digests"].append(part["content_sha256"].to_pylist())
+    return pa.table(recs, schema=_RECORD_SCHEMA)
 
 
-def run_partition(pid: int, files: list[str], out_dir: str, input_format: str) -> dict:
-    """Process one input partition end-to-end, atomically.  The manifest
-    records lineage (input files) AND per-partition metrics (wall seconds,
-    docs/sec) — the engine's replacement for dashboard counters."""
-    part_dir = os.path.join(out_dir, f"part={pid:04d}")
+def run_partition(
+    pid: int, files: list[str], out_dir: str, records: list[dict], since: float
+) -> dict:
+    """Commit one partition whose rows the execution has finished writing,
+    atomically.  The manifest records lineage (input files) AND
+    per-partition metrics — the engine's replacement for dashboard
+    counters; ``wall_s`` runs from ``since`` (the previous commit, or the
+    execution start), so one call's walls add up to its execution wall."""
+    part_dir = _part_dir(out_dir, pid)
     tmp_dir = part_dir + ".tmp"
-    if os.path.isdir(tmp_dir):
-        shutil.rmtree(tmp_dir)
-    if os.path.isdir(part_dir):  # crashed after rename, before manifest
-        shutil.rmtree(part_dir)
-
-    t0 = time.perf_counter()
-    result = extract_pages(read_pages(files, fmt=input_format))
-    result.write_parquet(tmp_dir)
-    wall_s = time.perf_counter() - t0
+    rows_of = {r["file"]: r["rows"] for r in records}
+    for name in os.listdir(tmp_dir):
+        if name not in rows_of:  # output of a failed task attempt
+            os.remove(os.path.join(tmp_dir, name))
+    for name, rows in rows_of.items():
+        on_disk = pq.read_metadata(os.path.join(tmp_dir, name)).num_rows
+        if on_disk != rows:
+            raise RuntimeError(
+                f"partition {pid}: {name} holds {on_disk} rows, its writer "
+                f"reported {rows}; not committed"
+            )
     os.replace(tmp_dir, part_dir)
 
-    rows, n_ok, digest = _rollup(part_dir)
+    rows = sum(rows_of.values())
+    hashes = sorted(h for r in records for h in r["digests"])
+    wall_s = time.perf_counter() - since
     manifest = {
         "partition_id": pid,
         "input_files": files,
         "row_count": rows,
-        "n_ok": n_ok,
-        "digest": digest,
+        "n_ok": sum(r["n_ok"] for r in records),
+        "digest": hashlib.sha256("".join(hashes).encode()).hexdigest(),
         "wall_s": round(wall_s, 3),
         "docs_per_sec": round(rows / wall_s, 1) if wall_s > 0 else 0.0,
     }
@@ -123,7 +172,7 @@ def resumable_extract(
     exists for the kill/restart test."""
     os.makedirs(out_dir, exist_ok=True)
     done = committed_manifests(out_dir)
-    parts = _partitions([os.path.abspath(f) for f in input_files], partition_size)
+    parts = _partitions(list({os.path.abspath(f) for f in input_files}), partition_size)
     # a committed partition BEYOND the current partition count holds rows
     # from inputs no longer in the job — its files would silently remain
     # part of the output dataset; refuse rather than serve stale rows
@@ -135,17 +184,54 @@ def resumable_extract(
             "shrank; use a fresh output directory (or delete the orphaned "
             "part=NNNN dirs and manifests)"
         )
+    # lineage check: a committed partition is only skippable if it covers
+    # the SAME input files — if the input list changed, the sorted chunking
+    # shifts the pid→files mapping and the old partition silently holds
+    # stale rows.  Reprocess on mismatch.
+    pending = [
+        (pid, files) for pid, files in enumerate(parts)
+        if not (pid in done and done[pid].get("input_files") == files)
+    ][:max_partitions]
+    if not pending:
+        return []
+    for pid, _ in pending:
+        part_dir = _part_dir(out_dir, pid)
+        shutil.rmtree(part_dir + ".tmp", ignore_errors=True)
+        # crashed after rename, before manifest
+        shutil.rmtree(part_dir, ignore_errors=True)
+        # up front: a partition whose inputs hold no rows gets no writes
+        os.makedirs(part_dir + ".tmp")
+
+    pid_of = {f: pid for pid, files in pending for f in files}
+    written = extract_pages(
+        read_pages(list(pid_of), fmt=input_format, include_paths=True)
+    ).map_batches(
+        _write_partitions,
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        fn_kwargs={"out_dir": out_dir, "pid_of": pid_of},
+    )
+    # the commit rule needs records in input order; set on this dataset's
+    # own context copy, never the global DataContext
+    written.context.execution_options.preserve_order = True
+
     out: list[dict] = []
-    for pid, files in enumerate(parts):
-        # lineage check: a committed partition is only skippable if it
-        # covers the SAME input files — if the input list changed, the
-        # sorted chunking shifts the pid→files mapping and the old
-        # partition silently holds stale rows.  Reprocess on mismatch.
-        if pid in done and done[pid].get("input_files") == files:
-            continue
-        out.append(run_partition(pid, files, out_dir, input_format))
-        if max_partitions is not None and len(out) >= max_partitions:
-            break
+    since = time.perf_counter()
+    # closing: a commit that raises shuts the execution down at once
+    with contextlib.closing(iter(written.iter_rows())) as rows:
+        groups = itertools.groupby(rows, key=lambda r: r["pid"])
+        group = next(groups, None)
+        for pid, files in pending:
+            records: list[dict] = []
+            if group is not None and group[0] == pid:
+                # draining the group reads the next pid's first record (or
+                # the stream's end): only then is this partition complete
+                records = list(group[1])
+                group = next(groups, None)
+            if group is not None and group[0] <= pid:
+                raise RuntimeError(f"records of partition {group[0]} arrived out of order")
+            out.append(run_partition(pid, files, out_dir, records, since))
+            since = time.perf_counter()
     return out
 
 
