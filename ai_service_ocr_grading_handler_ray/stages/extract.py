@@ -25,7 +25,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..config import get_policy
-from ..payloads import decode_pdf_glyphs
+from ..payloads import decode_pdf_glyphs, decode_pdf_glyphs_py
 from ..schema import EXTRACTED_SCHEMA
 from .html_extract import extract_html_fused, extract_html_with_title
 from .ocr import OcrEngine
@@ -45,6 +45,15 @@ class ExtractActor:
     payload_kind, and optionally path.  Output: EXTRACTED_SCHEMA
     (schema.py), then ``path`` when the input has it.  HTML thresholds
     come from the per-lang policy table (config.EXTRACTION_POLICIES).
+
+    ``html_engine`` picks the engines for HTML and PDF rows together:
+    ``"fused"`` runs the production kernels (native C, Python fallback),
+    ``"stdlib"`` the oracles (``html.parser``; ``decode_pdf_glyphs_py`` +
+    the Python XY-cut).  The benchmark's row check (``perfbench/check.py``)
+    digests every row with the ``"stdlib"`` twin, so it compares the
+    native kernels with their oracles on every HTML and PDF row.  PDF rows
+    go through this module's ``decode_pdf_glyphs`` and
+    ``parse_pdf_layout`` names, which the traced benchmark wraps.
     """
 
     def __init__(
@@ -57,14 +66,11 @@ class ExtractActor:
         # injected without changing the extraction plumbing.
         self.ocr = (ocr_engine_factory or OcrEngine)()
         self._policy_cache: dict[str, tuple[int, int]] = {}
-        # "fused" (default) = the production engine: the native C kernel
-        # (html_native.c, built once per host) with its Python body as
-        # fallback.  "stdlib" = html.parser tokenizer, the independent
-        # oracle.  Same output on the corpus.
         self._extract_html = {
             "fused": extract_html_fused,
             "stdlib": extract_html_with_title,
         }[html_engine]
+        self._pdf_oracle = html_engine == "stdlib"
 
     def _params_for(self, lang: str) -> tuple[int, int]:
         key = (lang or "").lower()
@@ -85,7 +91,8 @@ class ExtractActor:
                 text, n, title = self._extract_html(payload, min_len, max_link_pct)
                 return text, n, ("ok" if text else "blank"), title
             if kind == "pdf":
-                text, n = parse_pdf_layout(decode_pdf_glyphs(payload))
+                decode = decode_pdf_glyphs_py if self._pdf_oracle else decode_pdf_glyphs
+                text, n = parse_pdf_layout(decode(payload))
                 return text, n, ("ok" if text else "blank"), ""
             if kind == "image":
                 text = self.ocr.recognize(payload)

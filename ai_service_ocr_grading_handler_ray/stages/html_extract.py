@@ -10,7 +10,7 @@ local DOM heuristic instead of a remote vision LLM (SURVEY.md T5).
 Engines:
 - ``extract_html_fused`` (production): one fused tokenizer + classifier,
   run by the native kernel ``html_native.c`` (built on first use, see
-  ``html_native.py``) or, where it cannot be built, by its Python body
+  ``native.py``) or, where it cannot be built, by its Python body
   ``extract_html_fused_py``.  The two give identical output on any input.
 - ``extract_html_with_title`` (oracle): stdlib ``html.parser`` driving
   ``_BlockCollector``.  It matches the production engine on the page
@@ -38,7 +38,7 @@ import html as _html
 import re
 from html.parser import HTMLParser
 
-from . import html_native
+from . import native
 
 # tags that delimit text blocks
 _BLOCK_TAGS = frozenset(
@@ -238,7 +238,7 @@ def extract_html_fused(
     Runs the native kernel (html_native.c), built on first use; falls back
     to ``extract_html_fused_py`` when it cannot be built.  Both give the
     same output."""
-    kernel = html_native.load()
+    kernel = native.load()
     if kernel is not None and kernel.accepts(min_len, max_link_pct):
         return kernel(payload, min_len, max_link_pct)
     return extract_html_fused_py(payload, min_len, max_link_pct)

@@ -1,18 +1,25 @@
-"""Build, cache and call the native HTML kernel (``html_native.c``).
+"""Build, cache and open the native kernels.
 
-The kernel is the production body of ``html_extract.extract_html_fused``.
-It is compiled once per host, on first use, into a shared library that
-cffi opens in ABI mode.  The library lives in
-``$XDG_CACHE_HOME/ai_service_ocr_grading_handler_ray/`` (``~/.cache/...``
-when the variable is unset) under a name keyed by the sha256 of the C
-source, this file, the generated tables, the cffi version, the compiler
-version and the Python ABI tag.  Deleting that directory forces a rebuild.
+- ``html_native.c`` is the production body of
+  ``html_extract.extract_html_fused``;
+- ``pdf_native.c`` decodes a synthetic PDF's glyph payload and lays the
+  page out: the production body of ``payloads.decode_pdf_glyphs`` +
+  ``pdf_layout.parse_pdf_layout``.
+
+Both compile into one shared library, once per host, on first use; cffi
+opens it in ABI mode.  One library means one cache key and one ``load()``:
+a worker process pays for one ``cc --version`` and one dlopen.  The
+library lives in ``$XDG_CACHE_HOME/ai_service_ocr_grading_handler_ray/``
+(``~/.cache/...`` when the variable is unset) under a name keyed by the
+sha256 of the C sources, this file, the generated tables, the cffi
+version, the compiler version and the Python ABI tag.  Deleting that
+directory forces a rebuild.
 
 Each build writes a temporary file in the cache directory and
 ``os.replace``-s it into place, so processes that build at the same time
 cannot see a half-written library.  When there is no compiler or the
 cache cannot be written, ``load()`` logs one warning and returns ``None``;
-the caller then runs the Python engine.
+the callers then run the Python engines.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import logging
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sysconfig
 import tempfile
@@ -33,7 +41,7 @@ import unicodedata
 import cffi
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
-SOURCE = os.path.join(_HERE, "html_native.c")
+SOURCES = tuple(os.path.join(_HERE, name) for name in ("html_native.c", "pdf_native.c"))
 CFLAGS = ("-O2", "-std=gnu99", "-fPIC", "-shared", "-Wall", "-Wextra", "-Werror")
 _CDEF = """
 typedef struct {
@@ -45,7 +53,23 @@ typedef struct {
 } hx_result;
 int hx_extract(const char *doc, size_t n, int64_t min_len, int64_t max_link_pct, hx_result *res);
 void hx_free(hx_result *res);
+
+typedef struct {
+    int32_t x, y, w, h;
+    uint32_t off, len;
+} px_glyph;
+typedef struct {
+    px_glyph *glyphs;
+    int64_t n_glyphs;
+    char *chars;
+    char *text;
+    size_t text_len;
+    int64_t n_blocks;
+} px_page;
+int px_extract(const char *body, size_t n, px_page *page);
+void px_free(px_page *page);
 """
+_PX_DECLINED = 1
 _I64 = 2**63
 
 log = logging.getLogger(__name__)
@@ -60,7 +84,7 @@ def compiler() -> str | None:
     return shutil.which("cc") or shutil.which("gcc")
 
 
-# --- generated tables (html_native_tables.h) --------------------------------
+# --- generated tables (html_native_tables.h, pdf_native_tables.h) -----------
 
 
 def _c_bytes(b: bytes) -> str:
@@ -133,27 +157,37 @@ def _unicode_tables() -> str:
     ])
 
 
+def _pdf_tables() -> str:
+    """The layout constants of pdf_layout.py."""
+    from . import pdf_layout  # pdf_layout imports this module
+
+    return "".join(f"#define PX_{name} {getattr(pdf_layout, name)}\n"
+                   for name in ("MIN_GAP_X", "MIN_GAP_Y", "LINE_SLACK"))
+
+
 def cache_key(cc: str) -> str:
     version = subprocess.run([cc, "--version"], capture_output=True, text=True, timeout=60,
                              check=True).stdout
     h = hashlib.sha256()
-    for path in (SOURCE, __file__):
+    for path in (*SOURCES, __file__):
         with open(path, "rb") as f:
             h.update(f.read())
-    for part in (_data_tables(), unicodedata.unidata_version, cffi.__version__, version,
+    for part in (_data_tables(), _pdf_tables(), unicodedata.unidata_version, cffi.__version__, version,
                  str(sysconfig.get_config_var("SOABI"))):
         h.update(b"\0" + part.encode())
     return h.hexdigest()
 
 
 def build(so_path: str, cc: str, cflags: tuple[str, ...] = CFLAGS) -> None:
-    """Compile the kernel to ``so_path``, atomically."""
+    """Compile the kernels into one library at ``so_path``, atomically."""
     directory = os.path.dirname(os.path.abspath(so_path))
     with tempfile.TemporaryDirectory(dir=directory, prefix=".build-") as tmp:
         with open(os.path.join(tmp, "html_native_tables.h"), "w") as f:
             f.write(_data_tables() + _unicode_tables())
+        with open(os.path.join(tmp, "pdf_native_tables.h"), "w") as f:
+            f.write(_pdf_tables())
         out = os.path.join(tmp, "kernel.so")
-        subprocess.run([cc, *cflags, "-I", tmp, "-o", out, SOURCE],
+        subprocess.run([cc, *cflags, "-I", tmp, "-o", out, *SOURCES],
                        capture_output=True, text=True, timeout=600, check=True)
         with open(out, "rb") as f:
             digest = hashlib.sha256(f.read()).digest()
@@ -173,8 +207,42 @@ def _intact(so_path: str) -> bool:
     return len(data) > 32 and hashlib.sha256(data[:-32]).digest() == data[-32:]
 
 
+class GlyphPage:
+    """One page decoded and laid out by ``pdf_native.c``: its glyph boxes
+    stay in C, ``text`` and ``n_blocks`` are the layout's result.  It has
+    the length of, iterates as and compares equal to the list of
+    ``(x, y, w, h, ch)`` tuples ``payloads.decode_pdf_glyphs_py`` returns."""
+
+    __slots__ = ("_ffi", "_page", "text", "n_blocks")
+
+    def __init__(self, ffi, page) -> None:
+        self._ffi = ffi
+        self._page = page
+        self.text = ffi.unpack(page.text, page.text_len).decode("utf-8")
+        self.n_blocks = page.n_blocks
+
+    def __len__(self) -> int:
+        return self._page.n_glyphs
+
+    def __iter__(self):
+        ffi, page = self._ffi, self._page
+        if not page.n_glyphs:
+            return iter(())
+        boxes = list(struct.iter_unpack(
+            "=4i2I", ffi.buffer(page.glyphs, page.n_glyphs * ffi.sizeof("px_glyph"))))
+        chars = ffi.unpack(page.chars, boxes[-1][4] + boxes[-1][5])  # in glyph order
+        return ((x, y, w, h, chars[off:off + n].decode("utf-8")) for x, y, w, h, off, n in boxes)
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other
+
+    def __repr__(self) -> str:
+        return f"GlyphPage({list(self)!r})"
+
+
 class NativeKernel:
-    """The compiled kernel, callable like ``extract_html_fused``."""
+    """The compiled library.  Calling it runs the HTML kernel, like
+    ``extract_html_fused``; ``pdf_page`` runs the PDF kernel."""
 
     def __init__(self, so_path: str) -> None:
         self._ffi = ffi = cffi.FFI()
@@ -190,12 +258,24 @@ class NativeKernel:
         res = ffi.new("hx_result *")
         try:
             if lib.hx_extract(buf, len(buf), min_len, max_link_pct, res) != 0:
-                raise MemoryError("html_native: out of memory")
+                raise MemoryError("native: out of memory")
             text = ffi.unpack(res.text, res.text_len).decode("utf-8", errors="surrogatepass")
             title = ffi.unpack(res.title, res.title_len).decode("utf-8", errors="surrogatepass")
             return text, res.n_kept, title
         finally:
             lib.hx_free(res)
+
+    def pdf_page(self, payload: bytes, start: int) -> GlyphPage | None:
+        """Decode and lay out the glyph JSON at ``payload[start:]``, or
+        ``None`` when the kernel declines it (see pdf_native.c)."""
+        ffi, lib = self._ffi, self._lib
+        page = ffi.gc(ffi.new("px_page *"), lib.px_free)
+        rc = lib.px_extract(ffi.from_buffer(payload) + start, len(payload) - start, page)
+        if rc == _PX_DECLINED:
+            return None
+        if rc != 0:
+            raise MemoryError("native: out of memory")
+        return GlyphPage(ffi, page)
 
     @staticmethod
     def accepts(min_len: int, max_link_pct: int) -> bool:
@@ -204,11 +284,11 @@ class NativeKernel:
 
 
 def library_path(directory: str, cc: str) -> str:
-    return os.path.join(directory, f"html_native-{cache_key(cc)[:32]}.so")
+    return os.path.join(directory, f"native-{cache_key(cc)[:32]}.so")
 
 
 def open_kernel(directory: str) -> NativeKernel:
-    """Load the cached kernel from ``directory``, building it when it is
+    """Load the cached library from ``directory``, building it when it is
     missing, cut short or cannot be loaded."""
     cc = compiler()
     if cc is None:
@@ -218,7 +298,7 @@ def open_kernel(directory: str) -> NativeKernel:
         try:
             return NativeKernel(path)
         except OSError:
-            log.warning("html_native: rebuilding unloadable %s", path)
+            log.warning("native: rebuilding unloadable %s", path)
     os.makedirs(directory, exist_ok=True)
     build(path, cc)
     return NativeKernel(path)
@@ -226,11 +306,11 @@ def open_kernel(directory: str) -> NativeKernel:
 
 @functools.cache
 def load() -> NativeKernel | None:
-    """The host's kernel, or ``None`` (with one warning) when it cannot be
-    built or loaded."""
+    """The host's kernels, or ``None`` (with one warning) when they cannot
+    be built or loaded."""
     try:
         return open_kernel(cache_dir())
     except Exception as exc:  # extraction must not fail because of the build
         detail = getattr(exc, "stderr", None) or exc
-        log.warning("html_native: native kernel unavailable, using the Python engine: %s", detail)
+        log.warning("native: kernels unavailable, using the Python engines: %s", detail)
         return None

@@ -1,7 +1,7 @@
 """XY-cut layout parsing for PDF payloads (pdfminer-style, from scratch).
 
-Recursive XY-cut over glyph bounding boxes: project glyphs onto each axis,
-find the largest whitespace gap exceeding a threshold, split, recurse;
+XY-cut over glyph bounding boxes: project glyphs onto each axis, find the
+largest whitespace gap exceeding a threshold, split, repeat on each side;
 leaves become text blocks read top-to-bottom / left-to-right; within a
 block, glyphs cluster into lines by y then sort by x, with spaces
 re-inserted at x-gaps.  This is the engine's analogue of the reference's
@@ -9,13 +9,37 @@ math-page OCR stage (margin-step reordering demanded at
 ``gen_ai_calling.py:236`` becomes the XY-cut reading-order policy,
 SURVEY.md §2.6).
 
+Engines: ``payloads.decode_pdf_glyphs`` hands over a ``native.GlyphPage``
+when the native kernel (``pdf_native.c``) decoded the payload; that
+kernel has already run this layout in C, and ``parse_pdf_layout`` returns
+its result.  On any other glyph sequence the Python code below runs: it
+is the oracle the kernel is tested against and the fallback where the
+kernel cannot be built or declines the payload.
+
 Deterministic: integer coordinates, integer gap thresholds, explicit
-tie-breaks (y before x, lower coordinate first).
+tie-breaks (largest gap, then the earliest; y before x on equal gaps).
+
+Cost: the Python code sorts each cut-tree node on both axes, so n
+single-glyph lines with equal gaps of at least ``MIN_GAP_Y`` (n cuts, a
+tree n deep) cost O(n^2 log n); the explicit stack keeps such a tree from
+exhausting the recursion limit.  The native kernel sorts once per axis and
+cuts a run of equal gaps in one pass when it can show the other axis
+cannot win in between; its remaining worst case, a chain it cannot batch
+(one-glyph lines alternating between two x positions whose x gap ties the
+y gap), is O(n^2).
 """
 
 from __future__ import annotations
 
+from .native import GlyphPage
+
 Glyph = tuple[int, int, int, int, str]  # (x, y, w, h, ch)
+
+# Smallest projection gaps that cut a node, and the largest y step inside
+# one line (pixels).  native.py writes them into pdf_native.c's header.
+MIN_GAP_X = 24
+MIN_GAP_Y = 18
+LINE_SLACK = 2
 
 
 def _gaps(intervals: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
@@ -46,42 +70,51 @@ def _best_gap(glyphs: list[Glyph], axis: int) -> tuple[int, int] | None:
     return size, (start + end) // 2
 
 
-def xy_cut_blocks(
-    glyphs: list[Glyph],
-    min_gap_x: int = 24,
-    min_gap_y: int = 18,
-) -> list[list[Glyph]]:
-    """Recursively split glyphs into layout blocks in reading order."""
+def _cut(gs: list[Glyph]) -> tuple[list[Glyph], list[Glyph]] | None:
+    """Split a node along its larger qualifying gap, or None for a leaf."""
+    gx = _best_gap(gs, 0)
+    gy = _best_gap(gs, 1)
+    cand: list[tuple[int, int, int]] = []  # (size, axis, pos)
+    if gy and gy[0] >= MIN_GAP_Y:
+        cand.append((gy[0], 1, gy[1]))
+    if gx and gx[0] >= MIN_GAP_X:
+        cand.append((gx[0], 0, gx[1]))
+    if not cand:
+        return None
+    # cut along the larger gap; ties prefer the horizontal cut (axis=1,
+    # i.e. a y-gap splitting top/bottom) for stable reading order
+    size, axis, pos = max(cand, key=lambda t: (t[0], t[1]))
+    left = [g for g in gs if g[axis] + (g[2] if axis == 0 else g[3]) <= pos]
+    right = [g for g in gs if g[axis] + (g[2] if axis == 0 else g[3]) > pos]
+    if not left or not right:
+        return None
+    return left, right
+
+
+def xy_cut_blocks(glyphs: list[Glyph]) -> list[list[Glyph]]:
+    """Split glyphs into layout blocks in reading order: the leaves of the
+    cut tree in pre-order, left first.  An explicit stack, so a deep tree
+    cannot exhaust the interpreter's recursion limit."""
     if not glyphs:
         return []
-
-    def rec(gs: list[Glyph]) -> list[list[Glyph]]:
-        gx = _best_gap(gs, 0)
-        gy = _best_gap(gs, 1)
-        cand: list[tuple[int, int, int]] = []  # (size, axis, pos)
-        if gy and gy[0] >= min_gap_y:
-            cand.append((gy[0], 1, gy[1]))
-        if gx and gx[0] >= min_gap_x:
-            cand.append((gx[0], 0, gx[1]))
-        if not cand:
-            return [gs]
-        # cut along the larger gap; ties prefer the horizontal cut (axis=1,
-        # i.e. a y-gap splitting top/bottom) for stable reading order
-        size, axis, pos = max(cand, key=lambda t: (t[0], t[1]))
-        left = [g for g in gs if g[axis] + (g[2] if axis == 0 else g[3]) <= pos]
-        right = [g for g in gs if g[axis] + (g[2] if axis == 0 else g[3]) > pos]
-        if not left or not right:
-            return [gs]
-        return rec(left) + rec(right)
-
-    return rec(sorted(glyphs, key=lambda g: (g[1], g[0])))
+    blocks: list[list[Glyph]] = []
+    stack = [sorted(glyphs, key=lambda g: (g[1], g[0]))]
+    while stack:
+        gs = stack.pop()
+        halves = _cut(gs)
+        if halves is None:
+            blocks.append(gs)
+        else:
+            stack += reversed(halves)
+    return blocks
 
 
-def block_to_text(block: list[Glyph], space_factor: int = 2, line_slack: int = 2) -> str:
+def block_to_text(block: list[Glyph]) -> str:
     """Cluster a block's glyphs into lines (y), order by x, re-insert spaces.
 
-    A space is emitted when the x-gap between consecutive glyphs exceeds
-    half the glyph width × ``space_factor`` … kept integer: gap > w//2.
+    A new line starts where y steps by more than ``LINE_SLACK``; a space
+    is emitted when the x-gap between consecutive glyphs of a line exceeds
+    half the glyph's width (integer: gap > w//2).
     """
     if not block:
         return ""
@@ -89,7 +122,7 @@ def block_to_text(block: list[Glyph], space_factor: int = 2, line_slack: int = 2
     lines: list[list[Glyph]] = []
     cur: list[Glyph] = [gs[0]]
     for g in gs[1:]:
-        if g[1] - cur[-1][1] > line_slack:
+        if g[1] - cur[-1][1] > LINE_SLACK:
             lines.append(cur)
             cur = [g]
         else:
@@ -110,11 +143,14 @@ def block_to_text(block: list[Glyph], space_factor: int = 2, line_slack: int = 2
     return "\n".join(out_lines)
 
 
-def parse_pdf_layout(glyphs: list[Glyph]) -> tuple[str, int]:
+def parse_pdf_layout(glyphs: list[Glyph] | GlyphPage) -> tuple[str, int]:
     """Full parse: XY-cut → per-block line assembly → reading-order join.
 
-    Returns ``(text, n_blocks)``; blocks joined by blank lines.
+    Returns ``(text, n_blocks)``; non-empty blocks joined by blank lines.
+    A ``GlyphPage`` carries the native kernel's result of this parse.
     """
+    if isinstance(glyphs, GlyphPage):
+        return glyphs.text, glyphs.n_blocks
     blocks = xy_cut_blocks(glyphs)
     texts = [block_to_text(b) for b in blocks]
     texts = [t for t in texts if t]

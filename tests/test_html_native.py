@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from ai_service_ocr_grading_handler_ray.stages import html_native
+from ai_service_ocr_grading_handler_ray.stages import native as html_native
 from ai_service_ocr_grading_handler_ray.stages.html_extract import (
     extract_html_fused,
     extract_html_fused_py,
@@ -193,7 +193,7 @@ sys.path[:0] = [sys.argv[2], sys.argv[3]]
 import pyarrow.parquet as pq
 from ai_service_ocr_grading_handler_ray.stages.classify import classify_payload_kind
 from ai_service_ocr_grading_handler_ray.stages.html_extract import extract_html_fused_py
-from ai_service_ocr_grading_handler_ray.stages.html_native import NativeKernel
+from ai_service_ocr_grading_handler_ray.stages.native import NativeKernel
 from ai_service_ocr_grading_handler_ray.synth import docs_to_pages
 from test_html_native import EDGE_CASES, adversarial
 
