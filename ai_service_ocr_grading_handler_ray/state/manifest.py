@@ -8,19 +8,31 @@ groups and commits a manifest row per finished partition:
 
     out_dir/
       part=0000/ *.parquet            (atomic: written to .tmp, renamed)
-      manifest/part-0000.json         {partition_id, input_files, row_count,
-                                       n_ok, digest, wall_s, docs_per_sec}
+      manifest/part-0000.json         {partition_id, input_files,
+                                       input_stats, row_count, n_ok,
+                                       digest, wall_s, docs_per_sec}
                                       (written last)
 
 ``digest`` is the sha256 of the sorted per-row ``content_sha256`` values —
 an order-insensitive content fingerprint, so two runs producing the same
 rows in any order commit identical manifests.  ``committed_manifests`` is
 the one loader of the manifest set, used by resume and the metrics rollup.
-On restart, a partition with a committed manifest is skipped when its
-``input_files`` equal the partition's current files (absolute paths, so a
-relative glob run from another directory does not match; a path given
-twice is read once); a crash between data rename and manifest write is
-safe because the rerun clears the partition directory before extracting.
+On restart, a partition with a committed manifest is skipped only when
+
+- its ``input_files`` equal the partition's current files (absolute
+  paths, so a relative glob run from another directory does not match; a
+  path given twice is read once);
+- its ``input_stats`` (``[size, mtime_ns]`` per input, taken before the
+  read) equal the files' current ones, so an input rewritten in place is
+  re-extracted (a rewrite that keeps both size and mtime is not seen); a
+  manifest without the key does not match;
+- the Parquet footers of its ``part=NNNN`` files add up to its
+  ``row_count`` (metadata only), so a deleted, truncated or unreadable
+  committed file is re-extracted.
+
+A partition that is not skipped loses its manifest first, then its
+directories; a crash between data rename and manifest write is safe
+because the rerun clears the partition directory before extracting.
 
 One ``resumable_extract`` call is ONE lazy Ray Data execution over every
 pending partition's files: read (``include_paths=True``) → classify →
@@ -36,6 +48,10 @@ failed task attempt's output), check the Parquet footer row counts
 against the records, rename ``.tmp`` → ``part=NNNN``, write the manifest.
 On a multi-core host ``preserve_order`` holds back blocks that finish
 ahead of an earlier one; N → 4N scaling of this path is not measured.
+Stage A batches are sized by bytes (``extract_pages``), so one batch can
+span several partitions, and no partition is committed before the batch
+holding its last row is written: a crash loses at most the in-flight
+batches (on one CPU, up to one call's work).
 """
 
 from __future__ import annotations
@@ -76,6 +92,27 @@ def _part_dir(out_dir: str, pid: int) -> str:
     return os.path.join(out_dir, f"part={pid:04d}")
 
 
+def _manifest_path(out_dir: str, pid: int) -> str:
+    return os.path.join(out_dir, "manifest", f"part-{pid:04d}.json")
+
+
+def _input_stats(files: list[str]) -> list[list[int]]:
+    return [[st.st_size, st.st_mtime_ns] for st in map(os.stat, files)]
+
+
+def _rows_on_disk(out_dir: str, pid: int) -> int | None:
+    """Rows in a committed partition's files by their Parquet footers, or
+    None when its directory or a footer cannot be read."""
+    part_dir = _part_dir(out_dir, pid)
+    try:
+        return sum(
+            pq.read_metadata(os.path.join(part_dir, name)).num_rows
+            for name in os.listdir(part_dir) if name.endswith(".parquet")
+        )
+    except (OSError, ValueError):  # missing, or not a Parquet file any more
+        return None
+
+
 def committed_manifests(out_dir: str) -> dict[int, dict]:
     """partition_id → committed manifest, for every partition of
     ``out_dir`` whose manifest was written (the commit point)."""
@@ -114,13 +151,20 @@ def _write_partitions(batch: pa.Table, out_dir: str, pid_of: dict[str, int]) -> 
 
 
 def run_partition(
-    pid: int, files: list[str], out_dir: str, records: list[dict], since: float
+    pid: int,
+    files: list[str],
+    out_dir: str,
+    records: list[dict],
+    since: float,
+    *,
+    input_stats: list[list[int]],
 ) -> dict:
     """Commit one partition whose rows the execution has finished writing,
-    atomically.  The manifest records lineage (input files) AND
-    per-partition metrics — the engine's replacement for dashboard
-    counters; ``wall_s`` runs from ``since`` (the previous commit, or the
-    execution start), so one call's walls add up to its execution wall."""
+    atomically.  The manifest records lineage (input files and their
+    ``input_stats`` from before the read) AND per-partition metrics — the
+    engine's replacement for dashboard counters; ``wall_s`` runs from
+    ``since`` (the previous commit, or the execution start), so one call's
+    walls add up to its execution wall."""
     part_dir = _part_dir(out_dir, pid)
     tmp_dir = part_dir + ".tmp"
     rows_of = {r["file"]: r["rows"] for r in records}
@@ -142,20 +186,20 @@ def run_partition(
     manifest = {
         "partition_id": pid,
         "input_files": files,
+        "input_stats": input_stats,
         "row_count": rows,
         "n_ok": sum(r["n_ok"] for r in records),
         "digest": hashlib.sha256("".join(hashes).encode()).hexdigest(),
         "wall_s": round(wall_s, 3),
         "docs_per_sec": round(rows / wall_s, 1) if wall_s > 0 else 0.0,
     }
-    mdir = os.path.join(out_dir, "manifest")
-    os.makedirs(mdir, exist_ok=True)
-    mtmp = os.path.join(mdir, f"part-{pid:04d}.json.tmp")
-    with open(mtmp, "w") as f:
+    mpath = _manifest_path(out_dir, pid)
+    os.makedirs(os.path.dirname(mpath), exist_ok=True)
+    with open(mpath + ".tmp", "w") as f:
         json.dump(manifest, f)
         f.flush()
         os.fsync(f.fileno())
-    os.replace(mtmp, os.path.join(mdir, f"part-{pid:04d}.json"))
+    os.replace(mpath + ".tmp", mpath)
     return manifest
 
 
@@ -185,16 +229,26 @@ def resumable_extract(
             "part=NNNN dirs and manifests)"
         )
     # lineage check: a committed partition is only skippable if it covers
-    # the SAME input files — if the input list changed, the sorted chunking
-    # shifts the pid→files mapping and the old partition silently holds
-    # stale rows.  Reprocess on mismatch.
+    # the SAME input files, unchanged — if the input list changed, the
+    # sorted chunking shifts the pid→files mapping, and a file rewritten in
+    # place holds other rows — and its committed files still hold its rows.
+    # Reprocess on mismatch.
+    stats = [_input_stats(files) for files in parts]
     pending = [
         (pid, files) for pid, files in enumerate(parts)
-        if not (pid in done and done[pid].get("input_files") == files)
+        if not (
+            pid in done
+            and done[pid].get("input_files") == files
+            and done[pid].get("input_stats") == stats[pid]
+            and _rows_on_disk(out_dir, pid) == done[pid]["row_count"]
+        )
     ][:max_partitions]
     if not pending:
         return []
     for pid, _ in pending:
+        # uncommit first: a crash below leaves no manifest over stale data
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(_manifest_path(out_dir, pid))
         part_dir = _part_dir(out_dir, pid)
         shutil.rmtree(part_dir + ".tmp", ignore_errors=True)
         # crashed after rename, before manifest
@@ -230,7 +284,9 @@ def resumable_extract(
                 group = next(groups, None)
             if group is not None and group[0] <= pid:
                 raise RuntimeError(f"records of partition {group[0]} arrived out of order")
-            out.append(run_partition(pid, files, out_dir, records, since))
+            out.append(
+                run_partition(pid, files, out_dir, records, since, input_stats=stats[pid])
+            )
             since = time.perf_counter()
     return out
 

@@ -360,7 +360,7 @@ def run_headline() -> tuple[float, int, dict]:
     # untimed warmup: spin up every Ray worker process + import the engine
     # in each, so the timed run measures steady-state throughput
     warm = rd.read_parquet(files[: max(1, len(files) // 4)])
-    extract_pages(warm, batch_size=128).count()
+    extract_pages(warm).count()
 
     times: list[float] = []
     n_docs = 0
@@ -371,7 +371,7 @@ def run_headline() -> tuple[float, int, dict]:
         pages = rd.read_parquet(
             pages_dir, columns=["url", "warc_ts", "html", "text", "lang"]
         )
-        result = extract_pages(pages, batch_size=128)
+        result = extract_pages(pages)
         result.write_parquet(out_dir)
         times.append(time.perf_counter() - t0)
         stages = _stage_stats(result) or stages
@@ -538,7 +538,7 @@ def stats() -> None:
 
     pages_dir = ensure_pages_input(SF_DIR, REPLICATE)
     pages = rd.read_parquet(pages_dir, columns=["url", "warc_ts", "html", "text", "lang"])
-    res = extract_pages(pages, batch_size=128).materialize()
+    res = extract_pages(pages).materialize()
     print(res.stats())
     ray.shutdown()
 

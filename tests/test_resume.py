@@ -71,8 +71,8 @@ def test_resume_exact(tmp_path, sf_dir):
     with open(os.path.join(out_dir, "manifest", "part-0000.json")) as f:
         m = json.load(f)
     assert set(m) == {
-        "partition_id", "input_files", "row_count", "n_ok", "digest",
-        "wall_s", "docs_per_sec",
+        "partition_id", "input_files", "input_stats", "row_count", "n_ok",
+        "digest", "wall_s", "docs_per_sec",
     }
     assert m["docs_per_sec"] > 0
     assert m["row_count"] == 125
@@ -344,9 +344,9 @@ def test_stray_tmp_file_deleted_before_rename(tmp_path, sf_dir, monkeypatch):
     ))
     commit = manifest.run_partition
 
-    def commit_with_stray(pid, files, out_dir, records, since):
+    def commit_with_stray(pid, files, out_dir, records, since, **kw):
         pq.write_table(stray, os.path.join(out_dir, f"part={pid:04d}.tmp", "stray.parquet"))
-        return commit(pid, files, out_dir, records, since)
+        return commit(pid, files, out_dir, records, since, **kw)
 
     monkeypatch.setattr(manifest, "run_partition", commit_with_stray)
     resumable_extract(files, out_dir, partition_size=1)
@@ -363,10 +363,10 @@ def test_footer_row_count_mismatch_refuses_commit(tmp_path, sf_dir, monkeypatch)
     out_dir = str(tmp_path / "out")
     commit = manifest.run_partition
 
-    def miscounted(pid, files, out_dir, records, since):
+    def miscounted(pid, files, out_dir, records, since, **kw):
         if pid == 1:
             records = [{**records[0], "rows": records[0]["rows"] + 1}, *records[1:]]
-        return commit(pid, files, out_dir, records, since)
+        return commit(pid, files, out_dir, records, since, **kw)
 
     monkeypatch.setattr(manifest, "run_partition", miscounted)
     with pytest.raises(RuntimeError, match="not committed"):
@@ -402,3 +402,75 @@ def test_one_execution_per_call(tmp_path, sf_dir, monkeypatch):
     assert DataContext.get_current().execution_options.preserve_order == before
     assert resumable_extract(files, out_dir, partition_size=1) == []
     assert len(calls) == 1
+
+
+def _rewrite_input(files, out_dir):
+    """Regenerate input 2 in place with other rows and a new mtime."""
+    pages = pq.read_table(files[3])
+    pq.write_table(pages.slice(0, 60), files[2])
+    st = os.stat(files[2])
+    os.utime(files[2], ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+
+
+def _truncate_output(files, out_dir):
+    part = os.path.join(out_dir, "part=0002")
+    path = os.path.join(part, sorted(os.listdir(part))[0])
+    os.truncate(path, os.path.getsize(path) // 2)
+
+
+def _delete_output(files, out_dir):
+    import shutil
+
+    shutil.rmtree(os.path.join(out_dir, "part=0002"))
+
+
+def _drop_input_stats(files, out_dir):
+    path = os.path.join(out_dir, "manifest", "part-0002.json")
+    with open(path) as f:
+        m = json.load(f)
+    del m["input_stats"]
+    with open(path, "w") as f:
+        json.dump(m, f)
+
+
+@pytest.mark.parametrize(
+    "damage", [_rewrite_input, _truncate_output, _delete_output, _drop_input_stats],
+    ids=["input_rewritten_in_place", "output_truncated", "output_deleted",
+         "manifest_without_input_stats"],
+)
+def test_resume_reextracts_only_the_stale_partition(tmp_path, sf_dir, damage):
+    """A committed partition whose input changed under the same path, whose
+    files no longer hold its manifest's rows, or whose manifest predates
+    ``input_stats`` is re-extracted; the others are skipped, and the output
+    equals a fresh run's."""
+    files = _make_input(tmp_path, sf_dir)
+    out_dir = str(tmp_path / "out")
+    resumable_extract(files, out_dir, partition_size=1)
+    damage(files, out_dir)
+
+    redone = resumable_extract(files, out_dir, partition_size=1)
+    assert [m["partition_id"] for m in redone] == [2]
+    fresh = resumable_extract(files, str(tmp_path / "fresh"), partition_size=1)
+    assert redone[0]["digest"] == fresh[2]["digest"]
+    assert redone[0]["input_stats"] == fresh[2]["input_stats"]
+    assert _digests(out_dir) == _digests(str(tmp_path / "fresh"))
+    assert resumable_extract(files, out_dir, partition_size=1) == []
+
+
+def test_stale_partition_uncommitted_before_reextract(tmp_path, sf_dir, monkeypatch):
+    """A partition that is re-extracted loses its manifest before its data:
+    a crash before the new commit leaves no manifest over rows that are
+    gone, so the rollup counts only the partitions on disk."""
+    files = _make_input(tmp_path, sf_dir)
+    out_dir = str(tmp_path / "out")
+    resumable_extract(files, out_dir, partition_size=1)
+    _rewrite_input(files, out_dir)
+
+    def crash(*args, **kw):
+        raise RuntimeError("crash before commit")
+
+    monkeypatch.setattr(manifest, "run_partition", crash)
+    with pytest.raises(RuntimeError, match="crash before commit"):
+        resumable_extract(files, out_dir, partition_size=1)
+    assert set(committed_manifests(out_dir)) == {0, 1, 3}
+    assert manifest.metrics_rollup(out_dir)["rows"] == 375
