@@ -8,7 +8,10 @@ batch's row order.  Parser state (OCR engine, per-lang policies) is built
 once per engine in ``__init__``.  Per-row failures follow the poison-pill
 policy (SURVEY.md §4): the row gets ``status='error'`` and empty text
 instead of failing the block — mirroring the reference's
-degraded-response records (``llm_calling.py:111-112,173-174``).
+degraded-response records (``llm_calling.py:111-112,173-174``).  A
+``MemoryError`` is not the row's fault: it propagates and fails the task,
+and so the execution (``resumable_extract`` then has committed only
+partitions whose rows were all written; a rerun extracts the rest).
 
 Per-lang extraction policies mirror the reference's (task, subjectName)
 prompt lookup (J3, ``utils.py:23-29`` + subject_wise_prompt.json): the
@@ -98,6 +101,8 @@ class ExtractActor:
                 text = self.ocr.recognize(payload)
                 return text, (1 if text else 0), ("ok" if text else "blank"), ""
             return "", 0, "error", ""
+        except MemoryError:
+            raise  # a resource failure fails the task, not the row
         except Exception:
             return "", 0, "error", ""
 

@@ -48,10 +48,12 @@ failed task attempt's output), check the Parquet footer row counts
 against the records, rename ``.tmp`` → ``part=NNNN``, write the manifest.
 On a multi-core host ``preserve_order`` holds back blocks that finish
 ahead of an earlier one; N → 4N scaling of this path is not measured.
-Stage A batches are sized by bytes (``extract_pages``), so one batch can
-span several partitions, and no partition is committed before the batch
-holding its last row is written: a crash loses at most the in-flight
-batches (on one CPU, up to one call's work).
+On Parquet inputs read → classify → extract → writer run as one fused
+task per ~16 MiB group of whole input files (``read_pages``), so one
+task can span several partitions, and no partition is committed before
+the task holding its last row has written it: a crash loses at most the
+in-flight tasks (on one CPU, a call over under 16 MiB of pages is one
+task).
 """
 
 from __future__ import annotations

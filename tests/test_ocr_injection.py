@@ -5,10 +5,13 @@ the container.  The fake stands in for a real tesseract handle: its
 "expensive state" is a per-instance id that leaks into every recognized
 text, so distinct ids in the output == number of engine constructions."""
 
+import glob
 import hashlib
 import uuid
 
 import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
 import ray.data as rd
 
 from ai_service_ocr_grading_handler_ray.payloads import PNG_MAGIC
@@ -91,6 +94,44 @@ def test_default_engine_errors_on_real_bytes():
     out = ds.to_pandas()
     assert (out["status"] == "error").all()
     assert (out["extracted_text"] == "").all()
+
+
+def _failing_ocr(exc: type[Exception]) -> type[OcrEngine]:
+    class FailingOcr(OcrEngine):
+        def recognize(self, payload: bytes) -> str:
+            raise exc("injected")
+
+    return FailingOcr
+
+
+def _extract_with(engine: type[OcrEngine], out: str) -> None:
+    (
+        rd.from_arrow(_real_pngish_pages(4))
+        .map_batches(classify_payload_kind, batch_format="pyarrow")
+        .map_batches(
+            ExtractActor,
+            fn_constructor_kwargs={"ocr_engine_factory": engine},
+            batch_format="pyarrow",
+            concurrency=1,
+        )
+        .write_parquet(out)
+    )
+
+
+def test_memory_error_fails_the_task_not_the_row(tmp_path):
+    """A MemoryError is a resource failure: the execution raises and no
+    status='error' row is written.  A ValueError from the same engine is
+    the row's own failure: an error row."""
+    out = str(tmp_path / "oom")
+    with pytest.raises(Exception, match="MemoryError"):
+        _extract_with(_failing_ocr(MemoryError), out)
+    for path in glob.glob(f"{out}/*.parquet"):
+        assert "error" not in pq.read_table(path)["status"].to_pylist()
+
+    out = str(tmp_path / "bad")
+    _extract_with(_failing_ocr(ValueError), out)
+    status = pq.read_table(out)["status"].to_pylist()
+    assert status == ["error"] * 4
 
 
 def test_fake_image_decoder_injected_via_actor_pool():

@@ -404,6 +404,29 @@ def test_one_execution_per_call(tmp_path, sf_dir, monkeypatch):
     assert len(calls) == 1
 
 
+def test_one_read_task_spans_all_partitions(tmp_path, sf_dir, monkeypatch):
+    """At 1 CPU the four ~125-row files are one read group: one fused task
+    reads, extracts and writes all four partitions, and every one commits
+    with the digest of its rows' extraction."""
+    import hashlib
+
+    from ai_service_ocr_grading_handler_ray.sources import readers
+    from ai_service_ocr_grading_handler_ray.stages.classify import classify_payload_kind
+    from ai_service_ocr_grading_handler_ray.stages.extract import ExtractActor
+
+    files = _make_input(tmp_path, sf_dir)
+    monkeypatch.setattr(readers, "_cpus", lambda: 1)
+    assert readers.read_tasks(files) == 1
+    done = resumable_extract(files, str(tmp_path / "out"), partition_size=1)
+    assert [m["partition_id"] for m in done] == [0, 1, 2, 3]
+    engine = ExtractActor()
+    for m, f in zip(done, files):
+        rows = engine(classify_payload_kind(pq.read_table(f)))
+        hashes = sorted(rows["content_sha256"].to_pylist())
+        assert m["row_count"] == rows.num_rows
+        assert m["digest"] == hashlib.sha256("".join(hashes).encode()).hexdigest()
+
+
 def _rewrite_input(files, out_dir):
     """Regenerate input 2 in place with other rows and a new mtime."""
     pages = pq.read_table(files[3])

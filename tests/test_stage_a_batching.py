@@ -1,23 +1,24 @@
-"""Stage A batch sizing: rows per batch from the input's Parquet footers
-(``pipelines.extract.stage_a_batch_rows``), and the files it leaves."""
+"""Stage A's unit of work: one fused read → classify → extract → write task
+per ~16 MiB group of whole input files (``sources.readers.read_tasks``),
+and the 256-row batches of every other input."""
 
 import base64
 import json
+import math
 import os
+import re
 
 import pyarrow as pa
-import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import pytest
 import ray
 import ray.data as rd
 
 from ai_service_ocr_grading_handler_ray.pipelines import extract as pipeline
-from ai_service_ocr_grading_handler_ray.pipelines.extract import (
-    extract_pages,
-    stage_a_batch_rows,
-)
-from ai_service_ocr_grading_handler_ray.sources.readers import read_pages
+from ai_service_ocr_grading_handler_ray.pipelines.extract import extract_pages
+from ai_service_ocr_grading_handler_ray.sources import readers
+from ai_service_ocr_grading_handler_ray.sources.readers import grouped_read, read_pages, read_tasks
+from ai_service_ocr_grading_handler_ray.stages import extract as stage
 from ai_service_ocr_grading_handler_ray.synth import docs_to_pages
 
 
@@ -43,27 +44,76 @@ def _footer_bytes(files):
     return sum(m.row_group(i).total_byte_size for m in metas for i in range(m.num_row_groups))
 
 
+def _urls(paths):
+    return pa.concat_tables(pq.read_table(p, columns=["url"]) for p in paths)["url"].to_pylist()
+
+
+def _extract_to(out, files):
+    """Extract ``files`` into ``out``; returns the written files in name
+    (= task) order."""
+    extract_pages(read_pages(files)).write_parquet(out)
+    return [os.path.join(out, name) for name in sorted(os.listdir(out))]
+
+
 def test_cpu_floor_binds_on_small_input(pages_files):
-    # 16 MiB of ~2 KB rows is above the 8,192-row cap; 6,000 rows over
-    # the session's CPUs is below both
-    assert _footer_bytes(pages_files) / 6000 < pipeline.BATCH_BYTES / pipeline.MAX_BATCH_ROWS
-    assert stage_a_batch_rows(read_pages(pages_files)) == -(-6000 // _cpus())
+    # six ~2 MB files are less than one 16 MiB group: one task per CPU
+    assert _footer_bytes(pages_files) < readers.BATCH_BYTES
+    assert read_tasks(pages_files) == min(6, _cpus())
 
 
-def test_byte_target_binds(pages_files, monkeypatch):
-    monkeypatch.setattr(pipeline, "BATCH_BYTES", 2**20)
-    rows = stage_a_batch_rows(read_pages(pages_files))
-    assert rows == 2**20 * 6000 // _footer_bytes(pages_files)
-    assert 400 < rows < -(-6000 // _cpus())
+def test_byte_target_binds(tmp_path, pages_files, monkeypatch):
+    monkeypatch.setattr(readers, "BATCH_BYTES", 2**20)
+    tasks = min(6, math.ceil(_footer_bytes(pages_files) / 2**20))
+    assert tasks > _cpus()  # the byte term binds, not the CPU floor
+    assert read_tasks(pages_files) == tasks
+    written = _extract_to(str(tmp_path / "out"), pages_files)
+    assert len(written) == tasks
+    assert _urls(written) == _urls(pages_files)
 
 
-def test_row_cap_binds(pages_files, monkeypatch):
-    monkeypatch.setattr(pipeline, "MAX_BATCH_ROWS", 100)
-    assert stage_a_batch_rows(read_pages(pages_files)) == 100
+def test_byte_rule_writes_fewer_files_than_read_blocks(tmp_path, pages_files):
+    """One output file per read task, where Ray's own split of the six
+    files gives twelve blocks; every row once, in input order."""
+    read_blocks = rd.read_parquet(pages_files).materialize().num_blocks()
+    written = _extract_to(str(tmp_path / "out"), pages_files)
+    assert len(written) == min(6, _cpus()) < read_blocks
+    assert _urls(written) == _urls(pages_files)
 
 
-def test_multi_mb_rows_get_at_most_8_per_batch(tmp_path):
-    """40 rows of 2 MB: one CPU share is 10 rows, 16 MiB holds 8."""
+def test_grouped_read_runs_as_one_operator(tmp_path, pages_files):
+    """Read, classify, extract and write execute as ONE Ray Data operator,
+    and the read's block target stays on the dataset's own context."""
+    from ray.data import DataContext
+
+    before = DataContext.get_current().target_max_block_size
+    ds = extract_pages(read_pages(pages_files))
+    ds.write_parquet(str(tmp_path / "out"))
+    ops = re.findall(r"^Operator \d+ (\S+):", ds.stats(), flags=re.M)
+    assert len(ops) == 1, ds.stats()
+    assert ops[0].startswith("ReadParquet") and ops[0].endswith("Write"), ops
+    assert DataContext.get_current().target_max_block_size == before
+
+
+def _batch_rows(ds_of, monkeypatch, log):
+    """Rows each Stage A batch receives while ``ds_of()`` is extracted."""
+    plain = stage.extract_batch_task
+
+    def counting(batch):
+        with open(log, "a") as f:
+            f.write(f"{batch.num_rows}\n")
+        return plain(batch)
+
+    monkeypatch.setattr(stage, "extract_batch_task", counting)
+    n = extract_pages(ds_of()).count()
+    monkeypatch.setattr(stage, "extract_batch_task", plain)
+    with open(log) as f:
+        rows = [int(line) for line in f]
+    assert sum(rows) == n
+    return rows
+
+
+def test_multi_mb_rows_get_at_most_8_per_batch(tmp_path, monkeypatch):
+    """40 rows of 2 MB in one file (one read task): 16 MiB holds 8."""
     html = b"<html><body><p>" + b"lorem ipsum " * 170_000 + b"</p></body></html>"
     row = pa.table({
         "url": ["https://big.example.com/p"],
@@ -76,30 +126,26 @@ def test_multi_mb_rows_get_at_most_8_per_batch(tmp_path):
     with pq.ParquetWriter(path, row.schema, use_dictionary=False) as w:
         for _ in range(40):
             w.write_table(row)
-    assert 1 <= stage_a_batch_rows(read_pages(path)) <= 8
+    assert read_tasks(path) == 1
+    rows = _batch_rows(lambda: read_pages(path), monkeypatch, str(tmp_path / "log"))
+    assert sum(rows) == 40
+    assert max(rows) <= 8, rows
 
 
-def test_fallback_without_parquet_footers(tmp_path, pages_files):
-    """jsonl files (read directly, or decoded by read_pages) and in-memory
-    datasets keep the fixed 256-row batch."""
-    t = pq.read_table(pages_files[0]).slice(0, 20)
+def test_fallback_without_parquet_footers(tmp_path, pages_files, monkeypatch):
+    """jsonl (decoded by read_pages) and in-memory input are not grouped
+    reads, nor is a dataset derived from one: their 600 rows come in
+    batches of at most 256 (a task's last batch holds its remainder)."""
+    t = pq.read_table(pages_files[0]).slice(0, 600)
     path = tmp_path / "p.jsonl"
     with open(path, "w") as f:
         for r in t.to_pylist():
             r["html"] = base64.b64encode(r["html"]).decode()
             r["warc_ts"] = r["warc_ts"].isoformat()
             f.write(json.dumps(r) + "\n")
-    for ds in (rd.read_json(str(path)), read_pages(str(path), fmt="jsonl"), rd.from_arrow(t)):
-        assert stage_a_batch_rows(ds) == pipeline.FALLBACK_BATCH_ROWS
-
-
-def test_byte_rule_writes_fewer_files_than_read_blocks(tmp_path, pages_files):
-    """Six 1,000-row files: a 256-row batch wrote one file per read block;
-    the byte rule writes one per CPU share, every row once."""
-    read_blocks = read_pages(pages_files).materialize().num_blocks()
-    out = str(tmp_path / "out")
-    extract_pages(read_pages(pages_files)).write_parquet(out)
-    assert _cpus() <= len(os.listdir(out)) < read_blocks
-    urls = pads.dataset(out, format="parquet").to_table(columns=["url"])["url"]
-    expected = pads.dataset(pages_files, format="parquet").to_table(columns=["url"])["url"]
-    assert sorted(urls.to_pylist()) == sorted(expected.to_pylist())
+    assert grouped_read(read_pages(pages_files))
+    assert not grouped_read(read_pages(pages_files).limit(10))
+    for i, ds_of in enumerate([lambda: read_pages(str(path), fmt="jsonl"), lambda: rd.from_arrow(t)]):
+        assert not grouped_read(ds_of())
+        rows = _batch_rows(ds_of, monkeypatch, str(tmp_path / f"log{i}"))
+        assert max(rows) == pipeline.FALLBACK_BATCH_ROWS, rows
