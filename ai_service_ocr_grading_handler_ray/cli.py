@@ -48,6 +48,29 @@ def _input_files(pattern: str) -> list[str]:
     return files
 
 
+def _input_key(path: str) -> str:
+    """``input-<hash>`` of the input's absolute path and the size and mtime
+    of each file it names, for keying a checkpoint: stage parameters alone
+    do not name the source, so one checkpoint directory reused across
+    different or re-generated inputs would serve the previous corpus.  A
+    directory counts the ``*.parquet`` files under it, since rewriting a
+    file in place leaves the directory's own stat unchanged."""
+    import hashlib
+
+    h = hashlib.sha256(os.path.abspath(path).encode())
+    for match in sorted(glob.glob(path)) or [path]:
+        files = [match]
+        if os.path.isdir(match):
+            files = sorted(glob.glob(os.path.join(match, "**", "*.parquet"), recursive=True))
+        for f in files:
+            try:
+                st = os.stat(f)
+            except OSError:
+                continue
+            h.update(f"{f}:{st.st_size}:{st.st_mtime_ns}".encode())
+    return f"input-{h.hexdigest()[:16]}"
+
+
 def cmd_extract(args: argparse.Namespace) -> int:
     """Flagship: pages parquet → extraction parquet, resumable."""
     from .state.manifest import resumable_extract
@@ -158,24 +181,7 @@ def cmd_dedup(args: argparse.Namespace) -> int:
         return 2
     ckpt_dir = getattr(args, "checkpoint_dir", None)
     if ckpt_dir:
-        # key the checkpoint by the input's identity AND content
-        # fingerprint (path + per-file size/mtime): stage params alone
-        # don't include the source, so reusing one dir across different
-        # or re-generated --input values would silently serve the
-        # previous corpus
-        import glob as _glob
-        import hashlib
-        import os as _os
-
-        h = hashlib.sha256(_os.path.abspath(args.input).encode())
-        files = sorted(_glob.glob(args.input)) or [args.input]
-        for f in files:
-            try:
-                st = _os.stat(f)
-                h.update(f"{f}:{st.st_size}:{st.st_mtime_ns}".encode())
-            except OSError:
-                pass
-        ckpt_dir = _os.path.join(ckpt_dir, f"input-{h.hexdigest()[:16]}")
+        ckpt_dir = os.path.join(ckpt_dir, _input_key(args.input))
     ckpt = "parquet" if ckpt_dir else None
     if getattr(args, "emit", "clusters") == "deduped":
         out = near_dedup_keep_one(

@@ -2,10 +2,20 @@
 (SURVEY.md M2 replacement for the per-record switch at
 ``gen_ai_calling.py:278-415``).
 
-Each row of a batch goes through ``ExtractActor._extract_one``, which picks
-the extractor by the row's ``payload_kind``; the output columns keep the
-batch's row order.  Parser state (OCR engine, per-lang policies) is built
-once per engine in ``__init__``.  Per-row failures follow the poison-pill
+Where the native kernels are built (``native.load()``), the production
+engine makes ONE C call per batch (``extract_native.c``, through
+``NativeKernel.extract_batch``).  It reads the ``html`` column's Arrow
+buffers and extracts every HTML and PDF row, with each row's status,
+``is_blank`` and SHA-256 digest; its text and title buffers become the
+output columns without a per-row Python object.  The rows it flags run
+through ``ExtractActor._extract_one`` and ``sha256_hex`` instead: image rows
+(OCR), HTML that is not valid UTF-8 (Python's ``errors="replace"`` decode
+is the one definition of its repair), and PDFs without the glyph marker
+or that the PDF kernel declines.  The oracle engine
+(``html_engine="stdlib"``), and the production one on a host without a
+compiler, run every row that way.  The output columns keep the batch's
+row order.  Parser state (OCR engine, per-lang policies) is built once
+per engine in ``__init__``.  Per-row failures follow the poison-pill
 policy (SURVEY.md §4): the row gets ``status='error'`` and empty text
 instead of failing the block — mirroring the reference's
 degraded-response records (``llm_calling.py:111-112,173-174``).  A
@@ -26,13 +36,19 @@ import hashlib
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..config import get_policy
 from ..payloads import decode_pdf_glyphs, decode_pdf_glyphs_py
 from ..schema import EXTRACTED_SCHEMA
+from . import native
+from .classify import KINDS
 from .html_extract import extract_html_fused, extract_html_with_title
 from .ocr import OcrEngine
 from .pdf_layout import parse_pdf_layout
+
+_KINDS = pa.array(KINDS)
+_BATCH_STATUSES = pa.array(native.BATCH_STATUSES)
 
 
 def sha256_hex(text: str) -> str:
@@ -50,13 +66,15 @@ class ExtractActor:
     come from the per-lang policy table (config.EXTRACTION_POLICIES).
 
     ``html_engine`` picks the engines for HTML and PDF rows together:
-    ``"fused"`` runs the production kernels (native C, Python fallback),
-    ``"stdlib"`` the oracles (``html.parser``; ``decode_pdf_glyphs_py`` +
-    the Python XY-cut).  The benchmark's row check (``perfbench/check.py``)
+    ``"fused"`` runs the production kernels (the native batch call, else
+    the Python bodies per row), ``"stdlib"`` the oracles per row
+    (``html.parser``; ``decode_pdf_glyphs_py`` + the Python XY-cut;
+    ``hashlib``).  The benchmark's row check (``perfbench/check.py``)
     digests every row with the ``"stdlib"`` twin, so it compares the
-    native kernels with their oracles on every HTML and PDF row.  PDF rows
-    go through this module's ``decode_pdf_glyphs`` and
-    ``parse_pdf_layout`` names, which the traced benchmark wraps.
+    native kernels and the C SHA-256 with their oracles on every HTML and
+    PDF row.  Per-row PDF rows go through this module's
+    ``decode_pdf_glyphs`` and ``parse_pdf_layout`` names, which the traced
+    benchmark wraps; the batch call goes around them.
     """
 
     def __init__(
@@ -74,6 +92,7 @@ class ExtractActor:
             "stdlib": extract_html_with_title,
         }[html_engine]
         self._pdf_oracle = html_engine == "stdlib"
+        self._fused = html_engine == "fused"
 
     def _params_for(self, lang: str) -> tuple[int, int]:
         key = (lang or "").lower()
@@ -107,6 +126,29 @@ class ExtractActor:
             return "", 0, "error", ""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        kernel = native.load() if self._fused else None
+        columns = self._extract_native(kernel, batch) if kernel else self._extract_rows(batch)
+        # real crawls (WARC sources) carry no page-level lang column —
+        # pass nulls through; downstream re-derives from extracted text
+        lang_col = (
+            batch["lang"]
+            if "lang" in batch.column_names
+            else pa.nulls(len(batch), type=pa.string())
+        )
+        # from_arrays casts each column to its declared type (safe casts)
+        out = pa.Table.from_arrays(
+            [batch["url"], batch["warc_ts"], lang_col, batch["payload_kind"], *columns],
+            schema=EXTRACTED_SCHEMA,
+        )
+        # the input file (read_pages(include_paths=True)) rides along so
+        # resumable extraction can route each row to its partition
+        if "path" in batch.column_names:
+            out = out.append_column("path", batch["path"])
+        return out
+
+    def _extract_rows(self, batch: pa.Table) -> list[pa.Array]:
+        """title, extracted_text, content_sha256, n_blocks, is_blank and
+        status, one ``_extract_one`` call and one digest per row."""
         kinds = batch["payload_kind"].to_pylist()
         langs = (
             batch["lang"].to_pylist()
@@ -116,49 +158,82 @@ class ExtractActor:
         # one vectorized column conversion beats n per-row scalar
         # .as_py() round-trips (each allocates an Arrow scalar wrapper)
         payloads = batch["html"].to_pylist()
+        rows = [
+            self._extract_one(kind, payload or b"", lang or "")
+            for kind, payload, lang in zip(kinds, payloads, langs)
+        ]
+        texts, blocks, statuses, titles = (list(c) for c in zip(*rows)) if rows else ([],) * 4
+        return [
+            pa.array(titles, pa.string()),
+            pa.array(texts, pa.large_string()),
+            pa.array([sha256_hex(t) for t in texts], pa.string()),
+            pa.array(blocks, pa.int32()),
+            pa.array([not t.strip() for t in texts], pa.bool_()),
+            pa.array(statuses, pa.string()),
+        ]
+
+    def _extract_native(self, kernel: native.NativeKernel, batch: pa.Table) -> list[pa.Array]:
+        """The same columns from one ``kernel.extract_batch`` call; the rows
+        it flags (images, HTML that is not valid UTF-8, PDFs it declines)
+        go through ``_extract_one``."""
         n = len(batch)
-        texts: list[str] = [""] * n
-        titles: list[str] = [""] * n
-        blocks = np.zeros(n, dtype=np.int32)
-        statuses: list[str] = ["error"] * n
-        digests: list[str] = [""] * n
-        for i in range(n):
-            payload = payloads[i] or b""
-            text, nb, st, title = self._extract_one(kinds[i], payload, langs[i] or "")
-            texts[i] = text
-            titles[i] = title
-            blocks[i] = nb
-            statuses[i] = st
-            digests[i] = sha256_hex(text)
-        is_blank = np.array([not t.strip() for t in texts], dtype=bool)
-        # real crawls (WARC sources) carry no page-level lang column —
-        # pass nulls through; downstream re-derives from extracted text
-        lang_col = (
-            batch["lang"]
-            if "lang" in batch.column_names
-            else pa.nulls(n, type=pa.string())
+        html = batch["html"].cast(pa.large_binary()).combine_chunks()
+        if html.null_count:
+            html = html.fill_null(b"")
+        kinds = pc.index_in(batch["payload_kind"], value_set=_KINDS)
+        kinds = np.asarray(kinds.fill_null(KINDS.index("error")).to_numpy(), np.int8)
+        res = kernel.extract_batch(html, kinds, *self._thresholds(batch))
+        text, title = res.text, res.title
+
+        rows = np.flatnonzero(res.flagged)
+        if len(rows):
+            langs = [None] * len(rows)
+            if "lang" in batch.column_names:
+                langs = batch["lang"].take(rows).to_pylist()
+            kinds_, payloads = batch["payload_kind"].take(rows), html.take(rows)
+            done = [
+                self._extract_one(kind, payload, lang or "")
+                for kind, payload, lang in zip(kinds_.to_pylist(), payloads.to_pylist(), langs)
+            ]
+            texts, blocks, statuses, titles = zip(*done)
+            res.n_blocks[rows] = blocks
+            res.status[rows] = [native.BATCH_STATUSES.index(s) for s in statuses]
+            res.is_blank[rows] = [not t.strip() for t in texts]
+            res.sha[rows] = np.frombuffer(
+                "".join(sha256_hex(t) for t in texts).encode("ascii"), np.uint8
+            ).reshape(-1, 64)
+            text, title = _splice(text, rows, texts), _splice(title, rows, titles)
+
+        offsets = np.arange(0, 64 * n + 1, 64, dtype=np.int32)
+        digests = pa.Array.from_buffers(
+            pa.string(), n, [None, pa.py_buffer(offsets), pa.py_buffer(res.sha)]
         )
-        # from_arrays casts each column to its declared type (safe casts)
-        out = pa.Table.from_arrays(
-            [
-                batch["url"],
-                batch["warc_ts"],
-                lang_col,
-                batch["payload_kind"],
-                pa.array(titles),
-                pa.array(texts),
-                pa.array(digests),
-                pa.array(blocks),
-                pa.array(is_blank),
-                pa.array(statuses),
-            ],
-            schema=EXTRACTED_SCHEMA,
-        )
-        # the input file (read_pages(include_paths=True)) rides along so
-        # resumable extraction can route each row to its partition
-        if "path" in batch.column_names:
-            out = out.append_column("path", batch["path"])
-        return out
+        return [
+            title,
+            text,
+            digests,
+            pa.array(res.n_blocks),
+            pa.array(res.is_blank),
+            _BATCH_STATUSES.take(pa.array(res.status)),
+        ]
+
+    def _thresholds(self, batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row ``(min_len, max_link_pct)``, one policy lookup per
+        distinct lang."""
+        langs, index = [""], np.zeros(len(batch), np.intp)  # index 0: no lang
+        if "lang" in batch.column_names:
+            encoded = batch["lang"].combine_chunks().dictionary_encode()
+            langs += encoded.dictionary.to_pylist()
+            index = encoded.indices.fill_null(-1).to_numpy().astype(np.intp) + 1
+        table = np.array([self._params_for(lang) for lang in langs], np.int64)[index]
+        return table[:, 0], table[:, 1]
+
+
+def _splice(column: pa.Array, rows: np.ndarray, values: tuple[str, ...]) -> pa.Array:
+    """``column``, empty at ``rows``, with ``values`` put there."""
+    index = np.arange(len(column))
+    index[rows] = len(column) + np.arange(len(rows))
+    return pa.concat_arrays([column, pa.array(values, column.type)]).take(index)
 
 
 # --- stateless tasks with a per-worker engine cache -------------------------

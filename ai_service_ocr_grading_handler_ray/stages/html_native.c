@@ -13,17 +13,18 @@
  * buffer.  Input that is not valid UTF-8 (the Python caller never passes
  * any) is read one byte per code point.
  *
- * html_native_tables.h is generated by html_native.py from the running
- * Python: the tag sets and boiler words of html_extract.py, the
+ * html_native_tables.h is generated by native.py from the running
+ * Python: the tag sets (sorted, with the range of each first letter) and
+ * boiler words of html_extract.py, the
  * html.entities.html5 table, html._invalid_charrefs and
  * html._invalid_codepoints, and the str.isspace / regex \w / IGNORECASE
  * facts of its Unicode database.
  */
 
-#include <stddef.h>
-#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+#include "native.h"
 
 #define HX_BLOCK 1u
 #define HX_SKIP 2u
@@ -46,22 +47,9 @@ typedef struct { uint32_t cp; char letter; } hx_fold;
 
 #include "html_native_tables.h"
 
-typedef struct {
-    char *text;
-    size_t text_len;
-    char *title;
-    size_t title_len;
-    int64_t n_kept;
-} hx_result;
-
-int hx_extract(const char *doc, size_t n, int64_t min_len, int64_t max_link_pct, hx_result *res);
-void hx_free(hx_result *res);
-
 /* ---- growing output buffer ------------------------------------------- */
 
-typedef struct { char *p; size_t len, cap; int oom; } hx_buf;
-
-static int buf_reserve(hx_buf *b, size_t extra)
+int hx_reserve(hx_buf *b, size_t extra)
 {
     size_t cap;
     char *p;
@@ -86,9 +74,9 @@ static int buf_reserve(hx_buf *b, size_t extra)
     return 1;
 }
 
-static void buf_put(hx_buf *b, const void *s, size_t n)
+void hx_put(hx_buf *b, const void *s, size_t n)
 {
-    if (n && buf_reserve(b, n)) {
+    if (n && hx_reserve(b, n)) {
         memcpy(b->p + b->len, s, n);
         b->len += n;
     }
@@ -259,14 +247,14 @@ static void sink_reset(hx_sink *k, hx_buf *buf, const char *lead, size_t lead_le
 static void sink_word(hx_sink *k, const void *bytes, size_t n, int64_t chars)
 {
     if (!k->started) {
-        buf_put(k->buf, k->lead, k->lead_len);
+        hx_put(k->buf, k->lead, k->lead_len);
         k->started = 1;
     } else if (k->pending) {
-        buf_put(k->buf, " ", 1);
+        hx_put(k->buf, " ", 1);
         k->len++;
     }
     k->pending = 0;
-    buf_put(k->buf, bytes, n);
+    hx_put(k->buf, bytes, n);
     k->len += chars;
     k->piece_chars += chars;
     if (!k->in_word) {
@@ -523,8 +511,9 @@ static int ends_with_slash(const unsigned char *s, size_t a, size_t b)
     return 0;
 }
 
-/* _ATTR_HINT.search: \b(?:id|class|role)\s*= under re.IGNORECASE */
-static int attr_hint(const unsigned char *s, size_t a, size_t b)
+/* _ATTR_HINT.search: \b(?:id|class|role)\s*= under re.IGNORECASE, on a
+ * span holding non-ASCII code points (some fold onto ASCII letters). */
+static int attr_hint_unicode(const unsigned char *s, size_t a, size_t b)
 {
     static const char *const words[] = {"id", "class", "role"};
     int prev_word = 0;
@@ -544,6 +533,31 @@ static int attr_hint(const unsigned char *s, size_t a, size_t b)
         }
         prev_word = is_word(cp);
         i += l;
+    }
+    return 0;
+}
+
+/* The same search on any span: on an all-ASCII one only ASCII letters
+ * match and \w and \s are HX_ASCII's, so the bytes are compared as is. */
+static int attr_hint(const unsigned char *s, size_t a, size_t b)
+{
+    size_t i, j;
+    for (i = a; i < b; i++)
+        if (s[i] >= 0x80)
+            return attr_hint_unicode(s, a, b);
+    for (i = a; i < b; i++) {
+        unsigned char c = s[i] | 0x20;
+        const char *word = c == 'i' ? "id" : c == 'c' ? "class" : c == 'r' ? "role" : NULL;
+        if (!word || (i > a && (HX_ASCII[s[i - 1]] & HX_C_WORD)))
+            continue;
+        for (j = i; *word && j < b && (s[j] | 0x20) == (unsigned char)*word; j++, word++)
+            ;
+        if (*word)
+            continue;
+        while (j < b && (HX_ASCII[s[j]] & HX_C_SPACE))
+            j++;
+        if (j < b && s[j] == '=')
+            return 1;
     }
     return 0;
 }
@@ -633,28 +647,23 @@ static int attrs_boiler(const unsigned char *s, size_t a, size_t b)
     return 0;
 }
 
+/* The tag named s[a..a+len) in any case: its flags and index in HX_TAGS,
+ * or 0.  A name starts with an ASCII letter (next_tag), whose range of
+ * HX_TAGS is HX_TAG_FIRST[letter - 'a'] .. HX_TAG_FIRST[letter - 'a' + 1]. */
 static unsigned tag_lookup(const unsigned char *s, size_t a, size_t len, int *id)
 {
     char low[HX_TAG_MAX];
-    size_t i, lo = 0, hi = HX_N_TAGS;
+    size_t i, t, letter;
     if (len > HX_TAG_MAX)
         return 0;
     for (i = 0; i < len; i++)
         low[i] = (char)(s[a + i] >= 'A' && s[a + i] <= 'Z' ? s[a + i] | 0x20 : s[a + i]);
-    while (lo < hi) {
-        size_t mid = lo + (hi - lo) / 2;
-        const hx_tag *t = &HX_TAGS[mid];
-        int c = memcmp(t->name, low, t->len < len ? t->len : len);
-        if (c == 0)
-            c = (t->len > len) - (t->len < len);
-        if (c == 0) {
-            *id = (int)mid;
-            return t->flags;
+    letter = (size_t)(low[0] - 'a');
+    for (t = HX_TAG_FIRST[letter]; t < HX_TAG_FIRST[letter + 1]; t++) {
+        if (HX_TAGS[t].len == len && memcmp(HX_TAGS[t].name, low, len) == 0) {
+            *id = (int)t;
+            return HX_TAGS[t].flags;
         }
-        if (c < 0)
-            lo = mid + 1;
-        else
-            hi = mid;
     }
     return 0;
 }
@@ -665,7 +674,7 @@ typedef struct {
     const unsigned char *s;
     size_t n;
     int64_t min_len, max_link_pct;
-    hx_buf out, title;
+    hx_buf *out, *title;
     hx_sink blk, ttl;
     size_t blk_start;
     int64_t n_kept, link_chars, skip, boiler, link;
@@ -678,8 +687,8 @@ typedef struct {
 
 static void block_begin(hx_state *st)
 {
-    st->blk_start = st->out.len;
-    sink_reset(&st->blk, &st->out, "\n\n", st->n_kept ? 2 : 0);
+    st->blk_start = st->out->len;
+    sink_reset(&st->blk, st->out, "\n\n", st->n_kept ? 2 : 0);
     st->link_chars = 0;
 }
 
@@ -689,8 +698,8 @@ static void flush(hx_state *st)
     if (tl > 0 && !st->cur_boiler && tl >= st->min_len &&
         (__int128)st->link_chars * 100 <= (__int128)tl * st->max_link_pct)
         st->n_kept++;
-    else if (!st->out.oom)
-        st->out.len = st->blk_start;
+    else if (!st->out->oom)
+        st->out->len = st->blk_start;
     block_begin(st);
 }
 
@@ -820,23 +829,23 @@ static int next_tag(hx_state *st, size_t from, size_t *ms, size_t *me, size_t *n
     return 0;
 }
 
-int hx_extract(const char *doc, size_t n, int64_t min_len, int64_t max_link_pct, hx_result *res)
+int64_t hx_append(const char *doc, size_t n, int64_t min_len, int64_t max_link_pct, hx_buf *text,
+                  hx_buf *title)
 {
     hx_state st;
     size_t pos = 0;
-    int oom;
 
     memset(&st, 0, sizeof st);
-    memset(res, 0, sizeof *res);
     st.s = (const unsigned char *)doc;
     st.n = doc ? n : 0;
     st.min_len = min_len;
     st.max_link_pct = max_link_pct;
+    st.out = text;
+    st.title = title;
     st.dq.from = st.sq.from = SIZE_MAX;
-    buf_reserve(&st.out, st.n / 2 + 16);
-    buf_reserve(&st.title, 16);
+    hx_reserve(text, st.n / 2 + 16);
     block_begin(&st);
-    sink_reset(&st.ttl, &st.title, "", 0);
+    sink_reset(&st.ttl, title, "", 0);
 
     while (pos < st.n) {
         size_t ms, me, na = 0, nl, ae = 0;
@@ -888,13 +897,36 @@ int hx_extract(const char *doc, size_t n, int64_t min_len, int64_t max_link_pct,
     flush(&st);
 
     free(st.stack);
-    oom = st.oom || st.out.oom || st.title.oom;
-    res->text = st.out.p;
-    res->text_len = st.out.len;
-    res->title = st.title.p;
-    res->title_len = st.title.len;
-    res->n_kept = st.n_kept;
-    return oom ? -1 : 0;
+    return st.oom || text->oom || title->oom ? -1 : st.n_kept;
+}
+
+int hx_extract(const char *doc, size_t n, int64_t min_len, int64_t max_link_pct, hx_result *res)
+{
+    hx_buf text = {NULL, 0, 0, 0}, title = {NULL, 0, 0, 0};
+    int64_t kept;
+
+    hx_reserve(&title, 16);
+    kept = hx_append(doc, n, min_len, max_link_pct, &text, &title);
+    res->text = text.p;
+    res->text_len = text.len;
+    res->title = title.p;
+    res->title_len = title.len;
+    res->n_kept = kept < 0 ? 0 : kept;
+    return kept < 0 ? -1 : 0;
+}
+
+int hx_blank(const char *s, size_t n)
+{
+    const unsigned char *u = (const unsigned char *)s;
+    size_t i = 0;
+    while (i < n) {
+        uint32_t cp;
+        size_t l = dec(u + i, n - i, &cp);
+        if (!is_space(cp))
+            return 0;
+        i += l;
+    }
+    return 1;
 }
 
 void hx_free(hx_result *res)

@@ -4,16 +4,22 @@
   ``html_extract.extract_html_fused``;
 - ``pdf_native.c`` decodes a synthetic PDF's glyph payload and lays the
   page out: the production body of ``payloads.decode_pdf_glyphs`` +
-  ``pdf_layout.parse_pdf_layout``.
+  ``pdf_layout.parse_pdf_layout``;
+- ``extract_native.c`` runs both over a whole Stage-A batch in one call
+  (``NativeKernel.extract_batch``, used by ``extract.ExtractActor``): the
+  payload column's Arrow buffers in, each row's text, title, block count,
+  status, ``is_blank`` and SHA-256 (written out in C) back, with the rows
+  it leaves to the per-row Python path flagged.
 
-Both compile into one shared library, once per host, on first use; cffi
-opens it in ABI mode.  One library means one cache key and one ``load()``:
-a worker process pays for one ``cc --version`` and one dlopen.  The
-library lives in ``$XDG_CACHE_HOME/ai_service_ocr_grading_handler_ray/``
-(``~/.cache/...`` when the variable is unset) under a name keyed by the
-sha256 of the C sources, this file, the generated tables, the cffi
-version, the compiler version and the Python ABI tag.  Deleting that
-directory forces a rebuild.
+``native.h`` declares what the three share.  They compile into one shared
+library, once per host, on first use; cffi opens it in ABI mode.  One
+library means one cache key and one ``load()``: a worker process pays for
+one ``cc --version`` and one dlopen.  The library lives in
+``$XDG_CACHE_HOME/ai_service_ocr_grading_handler_ray/`` (``~/.cache/...``
+when the variable is unset) under a name keyed by the sha256 of the C
+sources and header, this file, the generated tables, the cffi version,
+the compiler version and the Python ABI tag.  Deleting that directory
+forces a rebuild.
 
 Each build writes a temporary file in the cache directory and
 ``os.replace``-s it into place, so processes that build at the same time
@@ -39,9 +45,13 @@ import tempfile
 import unicodedata
 
 import cffi
+import numpy as np
+import pyarrow as pa
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
-SOURCES = tuple(os.path.join(_HERE, name) for name in ("html_native.c", "pdf_native.c"))
+SOURCES = tuple(os.path.join(_HERE, name)
+                for name in ("html_native.c", "pdf_native.c", "extract_native.c"))
+HEADER = os.path.join(_HERE, "native.h")
 CFLAGS = ("-O2", "-std=gnu99", "-fPIC", "-shared", "-Wall", "-Wextra", "-Werror")
 _CDEF = """
 typedef struct {
@@ -68,8 +78,23 @@ typedef struct {
 } px_page;
 int px_extract(const char *body, size_t n, px_page *page);
 void px_free(px_page *page);
+
+typedef struct {
+    char *text;
+    size_t text_len;
+    char *title;
+    size_t title_len;
+} xb_text;
+int xb_extract(const int64_t *offsets, const char *data, int64_t n, const int8_t *kinds,
+               const int64_t *min_len, const int64_t *max_link_pct, int64_t *text_off,
+               int64_t *title_off, int32_t *n_blocks, int8_t *status, uint8_t *is_blank,
+               uint8_t *flagged, char *sha_hex, xb_text *out);
+void xb_free(void *p);
+void xb_sha256_hex(const char *s, size_t n, char *hex);
 """
 _PX_DECLINED = 1
+# extract_native.c's status codes
+BATCH_STATUSES = ("ok", "blank", "error")
 _I64 = 2**63
 
 log = logging.getLogger(__name__)
@@ -109,6 +134,8 @@ def _data_tables() -> str:
         f = "|".join(k for k, v in flags.items() if t in v)
         out.append(f'    {{"{t}", {len(t)}, {f}}},\n')
     out.append(f"}};\n#define HX_N_TAGS {len(tags)}u\n#define HX_TAG_MAX {max(map(len, tags))}\n")
+    first = [sum(t < letter for t in tags) for letter in "abcdefghijklmnopqrstuvwxyz{"]
+    out.append(_c_u32("HX_TAG_FIRST", first))
 
     words = hx._BOILER_WORDS
     out.append("static const char *const HX_BOILER_WORDS[] = {"
@@ -158,18 +185,23 @@ def _unicode_tables() -> str:
 
 
 def _pdf_tables() -> str:
-    """The layout constants of pdf_layout.py."""
-    from . import pdf_layout  # pdf_layout imports this module
+    """The layout constants of pdf_layout.py and the markers of payloads.py."""
+    from .. import payloads  # payloads and pdf_layout import this module
+    from . import pdf_layout
 
-    return "".join(f"#define PX_{name} {getattr(pdf_layout, name)}\n"
-                   for name in ("MIN_GAP_X", "MIN_GAP_Y", "LINE_SLACK"))
+    return "".join([
+        *(f"#define PX_{name} {getattr(pdf_layout, name)}\n"
+          for name in ("MIN_GAP_X", "MIN_GAP_Y", "LINE_SLACK")),
+        f"#define PX_PDF_MAGIC {_c_bytes(payloads.PDF_MAGIC)}\n",
+        f"#define PX_GLYPH_MARKER {_c_bytes(payloads.GLYPH_MARKER)}\n",
+    ])
 
 
 def cache_key(cc: str) -> str:
     version = subprocess.run([cc, "--version"], capture_output=True, text=True, timeout=60,
                              check=True).stdout
     h = hashlib.sha256()
-    for path in (*SOURCES, __file__):
+    for path in (*SOURCES, HEADER, __file__):
         with open(path, "rb") as f:
             h.update(f.read())
     for part in (_data_tables(), _pdf_tables(), unicodedata.unidata_version, cffi.__version__, version,
@@ -240,6 +272,23 @@ class GlyphPage:
         return f"GlyphPage({list(self)!r})"
 
 
+class BatchResult:
+    """The outputs of one ``NativeKernel.extract_batch`` call: per-row
+    numpy arrays the caller fills in for the flagged rows, and the text and
+    title columns (empty at those rows)."""
+
+    def __init__(self, n: int) -> None:
+        self.text_off = np.empty(n + 1, np.int64)
+        self.title_off = np.empty(n + 1, np.int64)
+        self.n_blocks = np.empty(n, np.int32)
+        self.status = np.empty(n, np.int8)  # indexes into BATCH_STATUSES
+        self.is_blank = np.empty(n, np.bool_)
+        self.flagged = np.empty(n, np.bool_)
+        self.sha = np.empty((n, 64), np.uint8)  # lowercase hex digits
+        self.text: pa.LargeStringArray | None = None
+        self.title: pa.LargeStringArray | None = None
+
+
 class NativeKernel:
     """The compiled library.  Calling it runs the HTML kernel, like
     ``extract_html_fused``; ``pdf_page`` runs the PDF kernel."""
@@ -276,6 +325,53 @@ class NativeKernel:
         if rc != 0:
             raise MemoryError("native: out of memory")
         return GlyphPage(ffi, page)
+
+    def extract_batch(self, html: pa.LargeBinaryArray, kinds: np.ndarray, min_len: np.ndarray,
+                      max_link_pct: np.ndarray) -> BatchResult:
+        """Extract and digest every row of ``html`` in one call of
+        ``extract_native.c``.  ``kinds`` holds int8 indexes into
+        ``classify.KINDS``, the thresholds one int64 per row; ``html`` has
+        no nulls.  The flagged rows (images among them) are left empty for
+        the caller."""
+        n = len(html)
+        kinds = np.ascontiguousarray(kinds, np.int8)
+        min_len, max_link_pct = (np.ascontiguousarray(a, np.int64) for a in (min_len, max_link_pct))
+        if html.type != pa.large_binary() or html.null_count or not (
+                len(kinds) == len(min_len) == len(max_link_pct) == n):
+            raise ValueError("extract_batch: a large_binary column without nulls and one "
+                             "kind and threshold pair per row")
+        ffi, lib = self._ffi, self._lib
+        _, offsets, data = html.buffers()
+        res = BatchResult(n)
+        out = ffi.new("xb_text *")
+        buf = ffi.from_buffer
+        data = ffi.cast("char *", data.address) if data is not None and data.size else ffi.new("char[1]")
+        rc = lib.xb_extract(
+            ffi.cast("int64_t *", offsets.address) + html.offset, data,
+            n, buf("int8_t[]", kinds), buf("int64_t[]", min_len), buf("int64_t[]", max_link_pct),
+            buf("int64_t[]", res.text_off), buf("int64_t[]", res.title_off),
+            buf("int32_t[]", res.n_blocks), buf("int8_t[]", res.status),
+            buf("uint8_t[]", res.is_blank), buf("uint8_t[]", res.flagged),
+            buf("char[]", res.sha), out)
+        if rc != 0:
+            raise MemoryError("native: out of memory")
+        res.text = self._strings(res.text_off, out.text, out.text_len)
+        res.title = self._strings(res.title_off, out.title, out.title_len)
+        return res
+
+    def _strings(self, offsets: np.ndarray, ptr, size: int) -> pa.LargeStringArray:
+        """Strings at ``offsets`` into the kernel's malloc'd ``ptr``, which
+        is freed when Arrow lets go of it."""
+        owner = self._ffi.gc(ptr, self._lib.xb_free)
+        data = pa.foreign_buffer(int(self._ffi.cast("uintptr_t", ptr)), size, base=owner)
+        return pa.Array.from_buffers(pa.large_string(), len(offsets) - 1,
+                                     [None, pa.py_buffer(offsets), data])
+
+    def sha256_hex(self, data: bytes) -> str:
+        """``hashlib.sha256(data).hexdigest()``, computed by the kernel."""
+        hex_ = self._ffi.new("char[64]")
+        self._lib.xb_sha256_hex(data, len(data), hex_)
+        return self._ffi.unpack(hex_, 64).decode("ascii")
 
     @staticmethod
     def accepts(min_len: int, max_link_pct: int) -> bool:

@@ -34,33 +34,13 @@
  * MIN_GAP_X, MIN_GAP_Y and LINE_SLACK.
  */
 
-#include <stddef.h>
-#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
+#include "native.h"
 #include "pdf_native_tables.h"
 
 #define PX_COORD_LIMIT ((int64_t)1 << 30)
-
-typedef struct {
-    int32_t x, y, w, h;
-    uint32_t off, len; /* the glyph's text: chars[off .. off + len) */
-} px_glyph;
-
-typedef struct {
-    px_glyph *glyphs;
-    int64_t n_glyphs;
-    char *chars;
-    char *text;
-    size_t text_len;
-    int64_t n_blocks;
-} px_page;
-
-int px_extract(const char *body, size_t n, px_page *page);
-void px_free(px_page *page);
-
-enum { PX_OK = 0, PX_DECLINED = 1, PX_NOMEM = -1 };
 
 /* ---- growing buffer ---------------------------------------------------- */
 

@@ -236,3 +236,22 @@ def test_dedup_emit_deduped_cli(tmp_path, sf_dir, capsys):
     assert {"doc_id", "text", "lang", "source"} <= set(t.column_names)
     ids = t["doc_id"].to_pylist()
     assert len(ids) == len(set(ids))
+
+
+def test_checkpoint_key_follows_files_inside_a_directory_input(tmp_path):
+    """A file rewritten in place under a directory ``--input`` leaves the
+    directory's own stat unchanged; the dedup checkpoint key must change."""
+    import pyarrow as pa
+
+    from ai_service_ocr_grading_handler_ray.cli import _input_key
+
+    src = tmp_path / "docs"
+    src.mkdir()
+    pq.write_table(pa.table({"id": [1, 2]}), src / "a.parquet")
+    pq.write_table(pa.table({"id": [3]}), src / "b.parquet")
+    dir_stat = src.stat()
+    before = _input_key(str(src))
+    assert _input_key(str(src)) == before
+    pq.write_table(pa.table({"id": [1, 2, 3, 4]}), src / "a.parquet")  # same name
+    assert src.stat().st_mtime_ns == dir_stat.st_mtime_ns
+    assert _input_key(str(src)) != before

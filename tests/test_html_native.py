@@ -8,10 +8,13 @@ import subprocess
 import sys
 import time
 
+import numpy as np
+import pyarrow as pa
 import pytest
 
 from ai_service_ocr_grading_handler_ray.stages import native as html_native
 from ai_service_ocr_grading_handler_ray.stages.html_extract import (
+    _EVENT_TAGS,
     extract_html_fused,
     extract_html_fused_py,
 )
@@ -73,6 +76,13 @@ EDGE_CASES = [
     b"<div class=\"\xc5\xbfidebar\xff\"><p>" + PAD.encode() + b"</p></div>",
     b"\xed\xa0\x80<p>" + PAD.encode() + b"</p>",
     "<p>lone \ud800 surrogate " + PAD + "</p>",
+    # both sides of the all-ASCII attribute fast path
+    f"<DIV ID = 'nav'><p>{PAD}</p></DIV><p>{PAD} kept</p>",
+    f'<p data-id="nav">{PAD}</p><p xclass="nav">{PAD}</p><p Role="banner">{PAD}</p>',
+    f"<p role\t=banner>{PAD}</p><p class\x1f=ad>{PAD}</p><p id\x0b= menu>{PAD}</p>",
+    f'<p 1class="ad">{PAD}</p><p _id="nav">{PAD}</p><p clasS ="promo">{PAD}</p>',
+    # every tag the kernel looks up, in both cases
+    "".join(f"<{t}>a<br>b {PAD}</{t}><{t.upper()} id=nav>{PAD}</{t.upper()}>" for t in sorted(_EVENT_TAGS)),
 ]
 
 
@@ -137,6 +147,29 @@ def test_native_kernel_cost_is_near_linear():
         assert ratio <= 6, (name, ratio)
 
 
+def _one_row_batch(kernel):
+    """Run one page through the batch entry, as a one-row HTML batch."""
+
+    def run(doc, min_len, max_link_pct):
+        html = pa.array([doc.encode("utf-8")], pa.large_binary())
+        one = np.ones(1, np.int64)
+        return kernel.extract_batch(html, np.zeros(1, np.int8), one * min_len, one * max_link_pct)
+
+    return run
+
+
+def test_batch_kernel_cost_is_near_linear():
+    kernel = html_native.load()
+    if kernel is None:
+        pytest.skip("native kernel unavailable on this host")
+    run = _one_row_batch(kernel)
+    small, big = adversarial(1), adversarial(4)
+    for name in small:
+        run(small[name], 25, 33)  # warm
+        ratio = _best_time(run, big[name]) / _best_time(run, small[name])
+        assert ratio <= 6, (name, ratio)
+
+
 # --- build ---------------------------------------------------------------------
 
 
@@ -191,7 +224,7 @@ _SANITIZED_RUN = r"""
 import random, sys
 sys.path[:0] = [sys.argv[2], sys.argv[3]]
 import pyarrow.parquet as pq
-from ai_service_ocr_grading_handler_ray.stages.classify import classify_payload_kind
+from ai_service_ocr_grading_handler_ray.stages.classify import KINDS, classify_payload_kind
 from ai_service_ocr_grading_handler_ray.stages.html_extract import extract_html_fused_py
 from ai_service_ocr_grading_handler_ray.stages.native import NativeKernel
 from ai_service_ocr_grading_handler_ray.synth import docs_to_pages
@@ -226,6 +259,43 @@ for i in range(3000):
     raw = bytes(rng.randrange(256) for _ in range(rng.randrange(64)))
     raw += rng.choice([b"<p class='", b"&#x", b"&ab", b"<!--", b"</scr", b"<title>", b"\xe2", b""])
     raw_call(raw, 25 - i, 33 + i)
+
+
+# the batch entry, every array in a buffer of exactly its size
+def batch_call(payloads, kinds, first=0):
+    rows = payloads[first:]
+    n = len(rows)
+    offsets = [0]
+    for p in payloads:
+        offsets.append(offsets[-1] + len(p))
+    data = b"".join(payloads)
+    data_buf = ffi.new(f"char[{len(data)}]")
+    ffi.memmove(data_buf, data, len(data))
+    offsets_buf = ffi.new(f"int64_t[{len(offsets)}]", offsets)
+    out = ffi.new("xb_text *")
+    sha = ffi.new(f"char[{64 * n}]")
+    rc = lib.xb_extract(
+        offsets_buf + first, data_buf, n, ffi.new(f"int8_t[{n}]", kinds[first:]),
+        ffi.new(f"int64_t[{n}]", [25] * n), ffi.new(f"int64_t[{n}]", [33] * n),
+        ffi.new(f"int64_t[{n + 1}]"), ffi.new(f"int64_t[{n + 1}]"), ffi.new(f"int32_t[{n}]"),
+        ffi.new(f"int8_t[{n}]"), ffi.new(f"uint8_t[{n}]"), ffi.new(f"uint8_t[{n}]"), sha, out)
+    assert rc == 0
+    lib.xb_free(out.text)
+    lib.xb_free(out.title)
+    return [ffi.unpack(sha + 64 * i, 64) for i in range(n)]
+
+
+kinds = [KINDS.index(k) for k in pages["payload_kind"].to_pylist()]
+payloads = [p or b"" for p in pages["html"].to_pylist()]
+assert set(kinds) == set(range(len(KINDS)))  # every kind, images left to the caller
+batch_call(payloads, kinds)
+batch_call(payloads, kinds, first=len(payloads) // 3)  # a sliced array
+edge = [d if isinstance(d, bytes) else d.encode("utf-8", "surrogatepass") for d in EDGE_CASES]
+batch_call(edge, [0] * len(edge))
+for raw in (b"", b"<p>x</p>", payloads[0], bytes(range(256))):  # one row
+    for kind in range(len(KINDS)):
+        batch_call([raw], [kind])
+batch_call([], [])  # zero rows
 print("sanitized run ok", len(html))
 """
 

@@ -101,6 +101,10 @@ _tag_soup = st.lists(
                 "<DIV ID='sidebar'>", "<li/>", "<!-- c -->", "<head>", "</head>",
                 "<p", ">", "&amp;", "&lt;", "&notit;", "&#x110000;", "&nbsp",
                 "<div class='ſidebar'>", "</ſcript>", "\u3000", "\x85",
+                # both sides of the kernel's all-ASCII attribute fast path
+                "<DIV ID = 'nav'>", '<p data-id="nav">', '<p xclass="nav">',
+                "<p role\t=banner>", '<p claſs="nav">', '<p ıd="menu">',
+                "enough words in this paragraph to pass the length rule",
             ]
         ),
         st.text(alphabet=string.ascii_lowercase + " ", min_size=1, max_size=24),
