@@ -1,16 +1,17 @@
-"""Flagship pipeline: pages → payload-kind classify → extract → digest.
+"""Flagship pipeline: pages → extract (payload-kind sniff included) → digest.
 
 Engine equivalent of the reference's /generate dataflow (SURVEY.md §3.1):
 
-    read_parquet(pages)
-      → map_batches(classify_payload_kind)   # stateless, vectorized sniff
+    read_pages(pages)                        # PagesDatasource
       → map_batches(extract_batch_task)      # stateless tasks, per-worker
-                                             # cached engine
+                                             # cached engine; sniffs each
+                                             # row's payload kind itself
       → write_parquet / downstream scoring
 
 On a Parquet file list read by ``read_pages`` all of it is ONE Ray Data
-operator, one task per ~16 MiB group of whole input files (at least one
-per CPU); other inputs run Stage A in 256-row batches (``extract_pages``).
+operator, ``ReadPages->MapBatches(extract_batch_task)->Write``, one task
+per ~16 MiB group of whole input files (at least one per CPU); other
+inputs run Stage A in 256-row batches (``extract_pages``).
 
 The whole thing is lazy and streams with backpressure; nothing
 materializes the full input.
@@ -22,7 +23,8 @@ import ray.data as rd
 
 from ..sources.readers import grouped_read
 from ..stages import extract as _extract
-from ..stages.classify import classify_payload_kind
+# kept importable here: perfbench/tracing.py patches this name
+from ..stages.classify import classify_payload_kind  # noqa: F401
 from ..synth import docs_to_pages
 
 
@@ -41,25 +43,27 @@ FALLBACK_BATCH_ROWS = 256
 
 
 def extract_pages(pages: rd.Dataset, *, batch_size: int | None = None) -> rd.Dataset:
-    """classify → extract.  Returns the EXTRACTED_SCHEMA dataset (lazy).
+    """Sniff → extract.  Returns the EXTRACTED_SCHEMA dataset (lazy).
 
-    Stateless tasks with a per-worker cached engine: zero pool spin-up,
-    elastic, fuses with read/write (measured ~1.6× faster end-to-end and
-    better scaling than a fixed actor pool, since this extractor's state
-    is cheap).
+    ONE ``map_batches``: ``extract_batch_task`` sniffs each row's payload
+    kind itself (``ExtractActor``), so no separate classify stage copies
+    the batch first.  Stateless tasks with a per-worker cached engine:
+    zero pool spin-up, elastic, fuses with read/write (measured ~1.6×
+    faster end-to-end and better scaling than a fixed actor pool, since
+    this extractor's state is cheap).
 
     On a Parquet file list read by ``read_pages`` (``grouped_read``), no
-    batch size is set, so Ray fuses read → classify → extract and a
+    batch size is set, so Ray fuses the read, the extract and a
     ``write_parquet`` or writer ``map_batches`` that follows into ONE
     operator with one task per read group of ~16 MiB of whole files
-    (``read_tasks``; at least one per CPU, so a multi-core host still runs
-    in parallel; N → 4N scaling is not measured).  Ray's per-task cost
-    (~10-20 ms per block read and again per file written, on one core)
-    is then paid once per group, not per ~500-row read block.  The groups
-    are the gain, not the fusion: fused at Ray's own split (twelve read
-    blocks), a seed-7 ``crawl_mix`` job took 0.62 s against 0.37 s
-    grouped (median of 10, one CPU).  Each batch
-    is one block of the read, which ``read_pages`` keeps under about
+    (``PagesDatasource.read_tasks``; at least one per CPU, so a multi-core
+    host still runs in parallel; N → 4N scaling is not measured).  Ray's
+    per-task cost (~10-20 ms per block read and again per file written,
+    on one core) is then paid once per group, not per ~500-row read
+    block.  The groups are the gain, not the fusion: fused at Ray's own
+    split (twelve read blocks), a seed-7 ``crawl_mix`` job took 0.62 s
+    against 0.37 s grouped (median of 10, one CPU).  Each batch is one
+    table the read yields, which ``PagesDatasource`` keeps under about
     ``BATCH_BYTES``, so multi-MB rows still come a few at a time.
 
     Any other input (jsonl, csv and WARC reads, in-memory datasets, or
@@ -71,11 +75,8 @@ def extract_pages(pages: rd.Dataset, *, batch_size: int | None = None) -> rd.Dat
     passes one."""
     if batch_size is None and not grouped_read(pages):
         batch_size = FALLBACK_BATCH_ROWS
-    classified = pages.map_batches(
-        classify_payload_kind, batch_format="pyarrow", zero_copy_batch=True
-    )
     # looked up at call time, so a replaced extract_batch_task takes effect
-    return classified.map_batches(
+    return pages.map_batches(
         _extract.extract_batch_task,
         batch_format="pyarrow",
         zero_copy_batch=True,

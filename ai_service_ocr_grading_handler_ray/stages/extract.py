@@ -2,20 +2,29 @@
 (SURVEY.md M2 replacement for the per-record switch at
 ``gen_ai_calling.py:278-415``).
 
+Stage A is ONE ``map_batches`` (``extract_batch_task``), fused with the
+``ReadPages`` read and the write into one Ray Data operator on a grouped
+read (``pipelines.extract.extract_pages``).  A batch without a
+``payload_kind`` column has its kinds sniffed inside the same call; a
+batch that carries one keeps it.
+
 Where the native kernels are built (``native.load()``), the production
 engine makes ONE C call per batch (``extract_native.c``, through
 ``NativeKernel.extract_batch``).  It reads the ``html`` column's Arrow
-buffers and extracts every HTML and PDF row, with each row's status,
-``is_blank`` and SHA-256 digest; its text and title buffers become the
-output columns without a per-row Python object.  The rows it flags run
-through ``ExtractActor._extract_one`` and ``sha256_hex`` instead: image rows
-(OCR), HTML that is not valid UTF-8 (Python's ``errors="replace"`` decode
-is the one definition of its repair), and PDFs without the glyph marker
-or that the PDF kernel declines.  The oracle engine
-(``html_engine="stdlib"``), and the production one on a host without a
-compiler, run every row that way.  The output columns keep the batch's
-row order.  Parser state (OCR engine, per-lang policies) is built once
-per engine in ``__init__``.  Per-row failures follow the poison-pill
+buffers, sniffs each row's kind when the batch has none (as
+``classify.classify_payload_kind`` does) and extracts every HTML and PDF
+row, with each row's status, ``is_blank`` and SHA-256 digest; its text and
+title buffers become the output columns without a per-row Python object.
+The rows it flags run through ``ExtractActor._extract_one`` and
+``sha256_hex`` instead: image rows (OCR), HTML that is not valid UTF-8
+(Python's ``errors="replace"`` decode is the one definition of its
+repair), and PDFs without the glyph marker or that the PDF kernel
+declines (those go straight to the Python decoder, not through the
+kernel again).  The oracle engine (``html_engine="stdlib"``), and the
+production one on a host without a compiler, sniff with
+``classify_payload_kind`` and run every row that way.  The output
+columns keep the batch's row order.  Parser state (OCR engine, per-lang
+policies) is built once per engine in ``__init__``.  Per-row failures follow the poison-pill
 policy (SURVEY.md §4): the row gets ``status='error'`` and empty text
 instead of failing the block — mirroring the reference's
 degraded-response records (``llm_calling.py:111-112,173-174``).  A
@@ -42,7 +51,7 @@ from ..config import get_policy
 from ..payloads import decode_pdf_glyphs, decode_pdf_glyphs_py
 from ..schema import EXTRACTED_SCHEMA
 from . import native
-from .classify import KINDS
+from .classify import KINDS, classify_payload_kind, single_array
 from .html_extract import extract_html_fused, extract_html_with_title
 from .ocr import OcrEngine
 from .pdf_layout import parse_pdf_layout
@@ -60,9 +69,9 @@ class ExtractActor:
     worker process; ``map_batches(ExtractActor, concurrency=N)`` hosts it
     in an actor pool when the OCR engine carries heavy state.
 
-    Input batch columns: url, warc_ts, html(binary), text, lang,
-    payload_kind, and optionally path.  Output: EXTRACTED_SCHEMA
-    (schema.py), then ``path`` when the input has it.  HTML thresholds
+    Input batch columns: url, warc_ts, html(binary), text, lang, and
+    optionally payload_kind (sniffed here when absent) and path.  Output:
+    EXTRACTED_SCHEMA (schema.py), then ``path`` when the input has it.  HTML thresholds
     come from the per-lang policy table (config.EXTRACTION_POLICIES).
 
     ``html_engine`` picks the engines for HTML and PDF rows together:
@@ -102,9 +111,11 @@ class ExtractActor:
         return self._policy_cache[key]
 
     def _extract_one(
-        self, kind: str, payload: bytes, lang: str = ""
+        self, kind: str, payload: bytes, lang: str = "", *, declined: bool = False
     ) -> tuple[str, int, str, str]:
-        """→ (extracted_text, n_blocks, status, title)."""
+        """→ (extracted_text, n_blocks, status, title).  ``declined``: the
+        batch kernel left this row to Python; a PDF row is then decoded in
+        Python without asking the PDF kernel again."""
         if kind == "blank":
             return "", 0, "blank", ""
         try:
@@ -113,7 +124,8 @@ class ExtractActor:
                 text, n, title = self._extract_html(payload, min_len, max_link_pct)
                 return text, n, ("ok" if text else "blank"), title
             if kind == "pdf":
-                decode = decode_pdf_glyphs_py if self._pdf_oracle else decode_pdf_glyphs
+                python = self._pdf_oracle or declined
+                decode = decode_pdf_glyphs_py if python else decode_pdf_glyphs
                 text, n = parse_pdf_layout(decode(payload))
                 return text, n, ("ok" if text else "blank"), ""
             if kind == "image":
@@ -137,7 +149,7 @@ class ExtractActor:
         )
         # from_arrays casts each column to its declared type (safe casts)
         out = pa.Table.from_arrays(
-            [batch["url"], batch["warc_ts"], lang_col, batch["payload_kind"], *columns],
+            [batch["url"], batch["warc_ts"], lang_col, *columns],
             schema=EXTRACTED_SCHEMA,
         )
         # the input file (read_pages(include_paths=True)) rides along so
@@ -147,8 +159,11 @@ class ExtractActor:
         return out
 
     def _extract_rows(self, batch: pa.Table) -> list[pa.Array]:
-        """title, extracted_text, content_sha256, n_blocks, is_blank and
-        status, one ``_extract_one`` call and one digest per row."""
+        """payload_kind (``classify_payload_kind``'s when the batch has
+        none), title, extracted_text, content_sha256, n_blocks, is_blank
+        and status, one ``_extract_one`` call and one digest per row."""
+        if "payload_kind" not in batch.column_names:
+            batch = classify_payload_kind(batch)
         kinds = batch["payload_kind"].to_pylist()
         langs = (
             batch["lang"].to_pylist()
@@ -164,6 +179,7 @@ class ExtractActor:
         ]
         texts, blocks, statuses, titles = (list(c) for c in zip(*rows)) if rows else ([],) * 4
         return [
+            batch["payload_kind"],
             pa.array(titles, pa.string()),
             pa.array(texts, pa.large_string()),
             pa.array([sha256_hex(t) for t in texts], pa.string()),
@@ -173,16 +189,23 @@ class ExtractActor:
         ]
 
     def _extract_native(self, kernel: native.NativeKernel, batch: pa.Table) -> list[pa.Array]:
-        """The same columns from one ``kernel.extract_batch`` call; the rows
-        it flags (images, HTML that is not valid UTF-8, PDFs it declines)
-        go through ``_extract_one``."""
+        """The same columns from one ``kernel.extract_batch`` call, which
+        sniffs the kinds when the batch has none; the rows it flags
+        (images, HTML that is not valid UTF-8, PDFs it declines) go through
+        ``_extract_one``."""
         n = len(batch)
-        html = batch["html"].cast(pa.large_binary()).combine_chunks()
+        html = single_array(batch["html"].cast(pa.large_binary()))
         if html.null_count:
             html = html.fill_null(b"")
-        kinds = pc.index_in(batch["payload_kind"], value_set=_KINDS)
-        kinds = np.asarray(kinds.fill_null(KINDS.index("error")).to_numpy(), np.int8)
+        if "payload_kind" in batch.column_names:
+            kind_col = batch["payload_kind"]
+            kinds = pc.index_in(kind_col, value_set=_KINDS).fill_null(KINDS.index("error"))
+            kinds = np.array(kinds.to_numpy(), np.int8)
+        else:
+            kind_col, kinds = None, np.full(n, -1, np.int8)  # the kernel sniffs
         res = kernel.extract_batch(html, kinds, *self._thresholds(batch))
+        if kind_col is None:
+            kind_col = _KINDS.take(pa.array(kinds))
         text, title = res.text, res.title
 
         rows = np.flatnonzero(res.flagged)
@@ -190,10 +213,9 @@ class ExtractActor:
             langs = [None] * len(rows)
             if "lang" in batch.column_names:
                 langs = batch["lang"].take(rows).to_pylist()
-            kinds_, payloads = batch["payload_kind"].take(rows), html.take(rows)
             done = [
-                self._extract_one(kind, payload, lang or "")
-                for kind, payload, lang in zip(kinds_.to_pylist(), payloads.to_pylist(), langs)
+                self._extract_one(KINDS[kind], payload, lang or "", declined=True)
+                for kind, payload, lang in zip(kinds[rows], html.take(rows).to_pylist(), langs)
             ]
             texts, blocks, statuses, titles = zip(*done)
             res.n_blocks[rows] = blocks
@@ -209,6 +231,7 @@ class ExtractActor:
             pa.string(), n, [None, pa.py_buffer(offsets), pa.py_buffer(res.sha)]
         )
         return [
+            kind_col,
             title,
             text,
             digests,
@@ -222,7 +245,7 @@ class ExtractActor:
         distinct lang."""
         langs, index = [""], np.zeros(len(batch), np.intp)  # index 0: no lang
         if "lang" in batch.column_names:
-            encoded = batch["lang"].combine_chunks().dictionary_encode()
+            encoded = single_array(batch["lang"]).dictionary_encode()
             langs += encoded.dictionary.to_pylist()
             index = encoded.indices.fill_null(-1).to_numpy().astype(np.intp) + 1
         table = np.array([self._params_for(lang) for lang in langs], np.int64)[index]

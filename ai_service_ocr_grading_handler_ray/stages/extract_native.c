@@ -1,9 +1,11 @@
-/* Native Stage-A batch: one call extracts and digests a whole batch.
+/* Native Stage-A batch: one call sniffs, extracts and digests a whole batch.
  *
  * xb_extract walks a batch's payload column as Arrow lays out large_binary
  * (int64 offsets into one data buffer), with one kind code and one pair
  * of HTML thresholds per row, and does for each row what
  * stages/extract.py's per-row path does in Python:
+ * - kind -1: sniff the payload's kind as classify.classify_payload_kind
+ *   does and write its code back into `kinds`;
  * - html: hx_append (html_native.c) when the payload is valid UTF-8;
  * - pdf: px_extract (pdf_native.c) on the glyph JSON after the marker;
  * - blank and error: an empty text;
@@ -17,8 +19,11 @@
  * (Python's errors="replace" decode is the one definition of its repair),
  * and PDFs without the glyph marker or that px_extract declines.
  *
- * The SHA-256 follows FIPS 180-4; the build gains no library.
- * pdf_native_tables.h carries payloads.py's PDF magic and glyph marker.
+ * The SHA-256 follows FIPS 180-4; the build gains no library.  On x86-64
+ * with GCC or Clang a second block function uses the SHA extensions
+ * (SHA-NI), chosen once at load time when the CPU has them.
+ * pdf_native_tables.h carries payloads.py's magic bytes and glyph marker
+ * and classify.py's sniff window.
  */
 
 #include <stdlib.h>
@@ -27,8 +32,13 @@
 #include "native.h"
 #include "pdf_native_tables.h"
 
-/* kind codes: the order of classify.KINDS */
-enum { XB_HTML = 0, XB_PDF = 1, XB_PYTHON = 2, XB_BLANK = 3, XB_ERROR = 4 };
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#define XB_SHA_NI 1
+#endif
+
+/* kind codes: the order of classify.KINDS; XB_SNIFF asks for the sniff */
+enum { XB_SNIFF = -1, XB_HTML = 0, XB_PDF = 1, XB_PYTHON = 2, XB_BLANK = 3, XB_ERROR = 4 };
 /* status codes: the order of native.BATCH_STATUSES */
 enum { XB_S_OK = 0, XB_S_BLANK = 1, XB_S_ERROR = 2 };
 
@@ -81,32 +91,99 @@ static void sha256_block(uint32_t s[8], const unsigned char *p)
     s[0] += a, s[1] += b, s[2] += c, s[3] += d, s[4] += e, s[5] += f, s[6] += g, s[7] += h;
 }
 
+/* `blocks` 64-byte blocks at p into the state s */
+typedef void sha256_blocks_fn(uint32_t s[8], const unsigned char *p, size_t blocks);
+
+static void sha256_blocks_portable(uint32_t s[8], const unsigned char *p, size_t blocks)
+{
+    for (; blocks; blocks--, p += 64)
+        sha256_block(s, p);
+}
+
+#ifdef XB_SHA_NI
+/* The same with the SHA extensions.  The state lives in two registers as
+ * ABEF and CDGH; each sha256rnds2 runs two rounds, and message group g
+ * (words 4g..4g+3) comes from groups g-4..g-1 by sha256msg1/msg2. */
+__attribute__((target("sha,sse4.1"))) static void sha256_blocks_ni(uint32_t s[8],
+                                                                  const unsigned char *p,
+                                                                  size_t blocks)
+{
+    const __m128i bswap = _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+    __m128i dcba = _mm_loadu_si128((const __m128i *)&s[0]);
+    __m128i hgfe = _mm_loadu_si128((const __m128i *)&s[4]);
+    __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1), efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+    __m128i abef = _mm_alignr_epi8(cdab, efgh, 8), cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+    for (; blocks; blocks--, p += 64) {
+        __m128i abef0 = abef, cdgh0 = cdgh, msg[4], m;
+        int g;
+#pragma GCC unroll 16
+        for (g = 0; g < 16; g++) {
+            if (g < 4) {
+                msg[g] = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(p + 16 * g)), bswap);
+            } else { /* slot g & 3 holds group g-4 until it is replaced */
+                m = _mm_sha256msg1_epu32(msg[g & 3], msg[(g + 1) & 3]);
+                m = _mm_add_epi32(m, _mm_alignr_epi8(msg[(g + 3) & 3], msg[(g + 2) & 3], 4));
+                msg[g & 3] = _mm_sha256msg2_epu32(m, msg[(g + 3) & 3]);
+            }
+            m = _mm_add_epi32(msg[g & 3], _mm_loadu_si128((const __m128i *)&K[4 * g]));
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, m);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(m, 0x0E));
+        }
+        abef = _mm_add_epi32(abef, abef0);
+        cdgh = _mm_add_epi32(cdgh, cdgh0);
+    }
+    {
+        __m128i feba = _mm_shuffle_epi32(abef, 0x1B), dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+        _mm_storeu_si128((__m128i *)&s[0], _mm_blend_epi16(feba, dchg, 0xF0));
+        _mm_storeu_si128((__m128i *)&s[4], _mm_alignr_epi8(dchg, feba, 8));
+    }
+}
+#endif
+
+/* the block function of this CPU, chosen once when the library loads */
+static sha256_blocks_fn *sha256_blocks = sha256_blocks_portable;
+
+#ifdef XB_SHA_NI
+__attribute__((constructor)) static void pick_sha256_blocks(void)
+{
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1"))
+        sha256_blocks = sha256_blocks_ni;
+}
+#endif
+
 /* hashlib.sha256(s[0..n)).hexdigest() into hex[0..64) */
-void xb_sha256_hex(const char *s, size_t n, char *hex)
+static void sha256_hex(const char *s, size_t n, char *hex, sha256_blocks_fn *blocks)
 {
     static const char digits[] = "0123456789abcdef";
     uint32_t h[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
                      0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-    const unsigned char *p = (const unsigned char *)s;
     unsigned char tail[128];
     size_t full = n - n % 64, rest = n % 64, end = rest < 56 ? 64 : 128, i;
     uint64_t bits = (uint64_t)n << 3;
 
-    for (i = 0; i < full; i += 64)
-        sha256_block(h, p + i);
+    blocks(h, (const unsigned char *)s, full / 64);
     if (rest)
-        memcpy(tail, p + full, rest);
+        memcpy(tail, s + full, rest);
     tail[rest] = 0x80;
     memset(tail + rest + 1, 0, end - 8 - rest - 1);
     for (i = 0; i < 8; i++)
         tail[end - 1 - i] = (unsigned char)(bits >> (8 * i));
-    for (i = 0; i < end; i += 64)
-        sha256_block(h, tail + i);
+    blocks(h, tail, end / 64);
     for (i = 0; i < 32; i++) {
         unsigned char byte = (unsigned char)(h[i / 4] >> (24 - 8 * (i % 4)));
         hex[2 * i] = digits[byte >> 4];
         hex[2 * i + 1] = digits[byte & 15];
     }
+}
+
+void xb_sha256_hex(const char *s, size_t n, char *hex) { sha256_hex(s, n, hex, sha256_blocks); }
+
+/* for tests: the portable path, whatever the CPU */
+void xb_sha256_hex_portable(const char *s, size_t n, char *hex)
+{
+    sha256_hex(s, n, hex, sha256_blocks_portable);
 }
 
 /* ---- one row -------------------------------------------------------------- */
@@ -169,6 +246,24 @@ static const char *glyph_body(const char *doc, size_t n)
     return NULL;
 }
 
+/* classify.classify_payload_kind of one payload: empty is blank; then the
+ * PDF magic, the PNG magic or RIFF....WEBP (an image), a '<' in the first
+ * XB_HTML_WINDOW bytes (HTML); anything else is an error. */
+static int8_t sniff(const char *doc, size_t n)
+{
+#define HAS(at, lit) (n >= (at) + sizeof lit - 1 && memcmp(doc + (at), lit, sizeof lit - 1) == 0)
+    if (n == 0)
+        return XB_BLANK;
+    if (HAS(0, PX_PDF_MAGIC))
+        return XB_PDF;
+    if (HAS(0, XB_PNG_MAGIC) || (HAS(0, XB_WEBP_RIFF) && HAS(XB_WEBP_TAG_AT, XB_WEBP_TAG)))
+        return XB_PYTHON;
+    if (memchr(doc, '<', n < XB_HTML_WINDOW ? n : XB_HTML_WINDOW))
+        return XB_HTML;
+    return XB_ERROR;
+#undef HAS
+}
+
 /* Lay out one PDF row into `text`: PX_OK, PX_DECLINED or PX_NOMEM. */
 static int pdf_row(const char *doc, size_t n, hx_buf *text, int64_t *kept)
 {
@@ -188,7 +283,7 @@ static int pdf_row(const char *doc, size_t n, hx_buf *text, int64_t *kept)
 
 /* ---- the batch ------------------------------------------------------------ */
 
-int xb_extract(const int64_t *offsets, const char *data, int64_t n, const int8_t *kinds,
+int xb_extract(const int64_t *offsets, const char *data, int64_t n, int8_t *kinds,
                const int64_t *min_len, const int64_t *max_link_pct, int64_t *text_off,
                int64_t *title_off, int32_t *n_blocks, int8_t *status, uint8_t *is_blank,
                uint8_t *flagged, char *sha_hex, xb_text *out)
@@ -206,6 +301,8 @@ int xb_extract(const int64_t *offsets, const char *data, int64_t n, const int8_t
         int64_t kept = 0;
         int st = XB_S_ERROR, flag = 0, rc;
 
+        if (kinds[i] == XB_SNIFF)
+            kinds[i] = sniff(doc, len);
         switch (kinds[i]) {
         case XB_HTML:
             if (!utf8_valid((const unsigned char *)doc, len)) {
@@ -236,7 +333,7 @@ int xb_extract(const int64_t *offsets, const char *data, int64_t n, const int8_t
         status[i] = (int8_t)st;
         n_blocks[i] = (int32_t)kept;
         is_blank[i] = (uint8_t)hx_blank(text.p + start, text.len - start);
-        xb_sha256_hex(text.p + start, text.len - start, sha_hex + 64 * i);
+        sha256_hex(text.p + start, text.len - start, sha_hex + 64 * i, sha256_blocks);
         text_off[i + 1] = (int64_t)text.len;
         title_off[i + 1] = (int64_t)title.len;
     }

@@ -66,11 +66,13 @@ typedef struct {
     size_t title_len;
 } xb_text;
 
-int xb_extract(const int64_t *offsets, const char *data, int64_t n, const int8_t *kinds,
+/* kinds[i] == -1: sniff the row's kind and write its code there */
+int xb_extract(const int64_t *offsets, const char *data, int64_t n, int8_t *kinds,
                const int64_t *min_len, const int64_t *max_link_pct, int64_t *text_off,
                int64_t *title_off, int32_t *n_blocks, int8_t *status, uint8_t *is_blank,
                uint8_t *flagged, char *sha_hex, xb_text *out);
 void xb_free(void *p);
 void xb_sha256_hex(const char *s, size_t n, char *hex);
+void xb_sha256_hex_portable(const char *s, size_t n, char *hex);
 
 #endif

@@ -7,8 +7,9 @@
   ``pdf_layout.parse_pdf_layout``;
 - ``extract_native.c`` runs both over a whole Stage-A batch in one call
   (``NativeKernel.extract_batch``, used by ``extract.ExtractActor``): the
-  payload column's Arrow buffers in, each row's text, title, block count,
-  status, ``is_blank`` and SHA-256 (written out in C) back, with the rows
+  payload column's Arrow buffers in, each row's payload kind (when not
+  given), text, title, block count, status, ``is_blank`` and SHA-256
+  (written out in C, with SHA-NI where the CPU has it) back, with the rows
   it leaves to the per-row Python path flagged.
 
 ``native.h`` declares what the three share.  They compile into one shared
@@ -85,12 +86,13 @@ typedef struct {
     char *title;
     size_t title_len;
 } xb_text;
-int xb_extract(const int64_t *offsets, const char *data, int64_t n, const int8_t *kinds,
+int xb_extract(const int64_t *offsets, const char *data, int64_t n, int8_t *kinds,
                const int64_t *min_len, const int64_t *max_link_pct, int64_t *text_off,
                int64_t *title_off, int32_t *n_blocks, int8_t *status, uint8_t *is_blank,
                uint8_t *flagged, char *sha_hex, xb_text *out);
 void xb_free(void *p);
 void xb_sha256_hex(const char *s, size_t n, char *hex);
+void xb_sha256_hex_portable(const char *s, size_t n, char *hex);
 """
 _PX_DECLINED = 1
 # extract_native.c's status codes
@@ -184,16 +186,22 @@ def _unicode_tables() -> str:
     ])
 
 
-def _pdf_tables() -> str:
-    """The layout constants of pdf_layout.py and the markers of payloads.py."""
-    from .. import payloads  # payloads and pdf_layout import this module
-    from . import pdf_layout
+def _payload_tables() -> str:
+    """The layout constants of pdf_layout.py, the magic bytes and markers of
+    payloads.py and the sniff window of classify.py."""
+    from .. import payloads  # payloads (so classify) and pdf_layout import this module
+    from . import classify, pdf_layout
 
     return "".join([
         *(f"#define PX_{name} {getattr(pdf_layout, name)}\n"
           for name in ("MIN_GAP_X", "MIN_GAP_Y", "LINE_SLACK")),
         f"#define PX_PDF_MAGIC {_c_bytes(payloads.PDF_MAGIC)}\n",
         f"#define PX_GLYPH_MARKER {_c_bytes(payloads.GLYPH_MARKER)}\n",
+        f"#define XB_PNG_MAGIC {_c_bytes(payloads.PNG_MAGIC)}\n",
+        f"#define XB_WEBP_RIFF {_c_bytes(payloads.WEBP_RIFF)}\n",
+        f"#define XB_WEBP_TAG {_c_bytes(payloads.WEBP_TAG)}\n",
+        f"#define XB_WEBP_TAG_AT {classify.WEBP_TAG_AT}\n",
+        f"#define XB_HTML_WINDOW {classify.HTML_WINDOW}\n",
     ])
 
 
@@ -204,7 +212,7 @@ def cache_key(cc: str) -> str:
     for path in (*SOURCES, HEADER, __file__):
         with open(path, "rb") as f:
             h.update(f.read())
-    for part in (_data_tables(), _pdf_tables(), unicodedata.unidata_version, cffi.__version__, version,
+    for part in (_data_tables(), _payload_tables(), unicodedata.unidata_version, cffi.__version__, version,
                  str(sysconfig.get_config_var("SOABI"))):
         h.update(b"\0" + part.encode())
     return h.hexdigest()
@@ -217,7 +225,7 @@ def build(so_path: str, cc: str, cflags: tuple[str, ...] = CFLAGS) -> None:
         with open(os.path.join(tmp, "html_native_tables.h"), "w") as f:
             f.write(_data_tables() + _unicode_tables())
         with open(os.path.join(tmp, "pdf_native_tables.h"), "w") as f:
-            f.write(_pdf_tables())
+            f.write(_payload_tables())
         out = os.path.join(tmp, "kernel.so")
         subprocess.run([cc, *cflags, "-I", tmp, "-o", out, *SOURCES],
                        capture_output=True, text=True, timeout=600, check=True)
@@ -329,17 +337,19 @@ class NativeKernel:
     def extract_batch(self, html: pa.LargeBinaryArray, kinds: np.ndarray, min_len: np.ndarray,
                       max_link_pct: np.ndarray) -> BatchResult:
         """Extract and digest every row of ``html`` in one call of
-        ``extract_native.c``.  ``kinds`` holds int8 indexes into
-        ``classify.KINDS``, the thresholds one int64 per row; ``html`` has
-        no nulls.  The flagged rows (images among them) are left empty for
-        the caller."""
+        ``extract_native.c``.  ``kinds`` is an int8 array of indexes into
+        ``classify.KINDS``, or -1 where the kernel is to sniff the kind; it
+        writes the sniffed index there.  The thresholds are one int64 per
+        row; ``html`` has no nulls.  The flagged rows (images among them)
+        are left empty for the caller."""
         n = len(html)
-        kinds = np.ascontiguousarray(kinds, np.int8)
         min_len, max_link_pct = (np.ascontiguousarray(a, np.int64) for a in (min_len, max_link_pct))
         if html.type != pa.large_binary() or html.null_count or not (
+                isinstance(kinds, np.ndarray) and kinds.dtype == np.int8
+                and kinds.flags.c_contiguous and kinds.flags.writeable) or not (
                 len(kinds) == len(min_len) == len(max_link_pct) == n):
-            raise ValueError("extract_batch: a large_binary column without nulls and one "
-                             "kind and threshold pair per row")
+            raise ValueError("extract_batch: a large_binary column without nulls, a writable "
+                             "int8 kind array and one kind and threshold pair per row")
         ffi, lib = self._ffi, self._lib
         _, offsets, data = html.buffers()
         res = BatchResult(n)
@@ -367,10 +377,13 @@ class NativeKernel:
         return pa.Array.from_buffers(pa.large_string(), len(offsets) - 1,
                                      [None, pa.py_buffer(offsets), data])
 
-    def sha256_hex(self, data: bytes) -> str:
-        """``hashlib.sha256(data).hexdigest()``, computed by the kernel."""
+    def sha256_hex(self, data: bytes, *, portable: bool = False) -> str:
+        """``hashlib.sha256(data).hexdigest()``, computed by the kernel with
+        the block function it chose for this CPU, or with the portable
+        one."""
         hex_ = self._ffi.new("char[64]")
-        self._lib.xb_sha256_hex(data, len(data), hex_)
+        digest = self._lib.xb_sha256_hex_portable if portable else self._lib.xb_sha256_hex
+        digest(data, len(data), hex_)
         return self._ffi.unpack(hex_, 64).decode("ascii")
 
     @staticmethod

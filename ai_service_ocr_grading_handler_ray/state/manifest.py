@@ -35,21 +35,22 @@ directories; a crash between data rename and manifest write is safe
 because the rerun clears the partition directory before extracting.
 
 One ``resumable_extract`` call is ONE lazy Ray Data execution over every
-pending partition's files: read (``include_paths=True``) → classify →
-extract → a writer ``map_batches`` that writes each partition's rows of a
-batch to ``part=NNNN.tmp/<uuid>.parquet`` and returns a small record
-(pid, file, rows, n_ok, row digests).  The driver iterates the records
-with ``preserve_order`` set on that dataset's own context (the global
-``DataContext`` is untouched), so records arrive in input order and pids
-ascend: when a record for a later pid arrives, every earlier pending
-partition is complete, and at the end of the stream all of them are.
+pending partition's files: read (``include_paths=True``) → extract (the
+kind sniff included) → a writer ``map_batches`` that writes each
+partition's rows of a batch to ``part=NNNN.tmp/<uuid>.parquet`` and
+returns a small record (pid, file, rows, n_ok, row digests).  The driver
+iterates the records with ``preserve_order`` set on that dataset's own
+context (the global ``DataContext`` is untouched), so records arrive in
+input order and pids ascend: when a record for a later pid arrives, every
+earlier pending partition is complete, and at the end of the stream all
+of them are.
 ``run_partition`` then commits it: delete tmp files no record names (a
 failed task attempt's output), check the Parquet footer row counts
 against the records, rename ``.tmp`` → ``part=NNNN``, write the manifest.
 On a multi-core host ``preserve_order`` holds back blocks that finish
 ahead of an earlier one; N → 4N scaling of this path is not measured.
-On Parquet inputs read → classify → extract → writer run as one fused
-task per ~16 MiB group of whole input files (``read_pages``), so one
+On Parquet inputs the read (``PagesDatasource``), extract and writer run
+as one fused task per ~16 MiB group of whole input files, so one
 task can span several partitions, and no partition is committed before
 the task holding its last row has written it: a crash loses at most the
 in-flight tasks (on one CPU, a call over under 16 MiB of pages is one

@@ -1,6 +1,7 @@
 """Native Stage-A batch (stages/extract_native.c): one call per batch gives
-the same table as the per-row path on mixed batches, and its hand-written
-SHA-256 equals hashlib's."""
+the same table as the per-row path on mixed batches, its payload-kind sniff
+equals ``classify_payload_kind``, and its hand-written SHA-256 (SHA-NI and
+portable) equals hashlib's."""
 
 import hashlib
 import random
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from ai_service_ocr_grading_handler_ray.payloads import (
     GLYPH_MARKER,
     PDF_MAGIC,
+    PNG_MAGIC,
     encode_image_text,
     encode_pdf_glyphs,
     layout_text_as_glyphs,
@@ -82,6 +84,16 @@ pdf_pages = st.one_of(
         PDF_MAGIC + b"1.7 a real PDF, no glyph marker",
     ]),
 )
+# the sniff's edges: magic prefixes cut short, RIFF....WEBP, '<' at the
+# edge of the 16-byte window
+WEBP = b"RIFF\x10\x00\x00\x00WEBPVP8 "
+no_lt = st.binary(max_size=20).map(lambda b: b.replace(b"<", b"."))
+sniff_pages = st.one_of(
+    st.sampled_from([m[:cut] for m in (HEAD, PNG_MAGIC + b"GRAFTOCR", WEBP) for cut in (4, 7, 11)]),
+    st.tuples(st.binary(min_size=4, max_size=4), no_lt).map(lambda t: b"RIFF" + t[0] + b"WEBP" + t[1]),
+    st.tuples(st.sampled_from([0, 15, 16]), no_lt).map(
+        lambda t: b"x" * t[0] + b"<p>" + PAD.encode() + b"</p>" + t[1]),
+)
 other_pages = st.one_of(
     st.lists(st.sampled_from(["ocr", "text", "here"]), max_size=8)
     .map(lambda ws: encode_image_text(" ".join(ws))),
@@ -89,6 +101,7 @@ other_pages = st.one_of(
     st.just(b""),
     st.none(),
     st.binary(max_size=30).filter(lambda b: b"<" not in b[:16]),
+    sniff_pages,
 )
 rows = st.tuples(
     st.one_of(html_pages, pdf_pages, other_pages),
@@ -97,7 +110,7 @@ rows = st.tuples(
 )
 
 
-def _batch(rs, *, lang=True, path=False) -> pa.Table:
+def _batch(rs, *, lang=True, path=False, kind=True) -> pa.Table:
     n = len(rs)
     table = pa.table({
         "url": [f"https://e.example/{i}" for i in range(n)],
@@ -107,9 +120,10 @@ def _batch(rs, *, lang=True, path=False) -> pa.Table:
         "lang": pa.array([r[1] for r in rs], pa.string()),
     })
     sniffed = classify_payload_kind(table)["payload_kind"].to_pylist()
-    table = table.append_column(
-        "payload_kind", pa.array([k if k is not None else s for (_, _, k), s in zip(rs, sniffed)],
-                                 pa.string()))
+    if kind:
+        table = table.append_column(
+            "payload_kind",
+            pa.array([k if k is not None else s for (_, _, k), s in zip(rs, sniffed)], pa.string()))
     if not lang:
         table = table.drop_columns(["lang"])
     if path:
@@ -126,6 +140,49 @@ def test_batch_equals_per_row_on_mixed_batches(rs, lang, path, cut):
     half = len(batch) // 2
     multi = pa.concat_tables([batch.slice(0, half), batch.slice(half)])
     assert_same_as_per_row(multi)
+
+
+@given(st.lists(rows, max_size=24), st.booleans(), st.integers(0, 5))
+@settings(max_examples=150, deadline=None)
+def test_sniff_equals_classify(rs, lang, cut):
+    """A batch without ``payload_kind``: the kernel's sniff gives
+    ``classify_payload_kind``'s kinds, and the output equals the per-row
+    path's (which classifies first) and the output of the batch classified
+    beforehand."""
+    batch = _batch(rs, lang=lang, kind=False)
+    assert "payload_kind" not in batch.column_names
+    for b in (batch, batch.slice(min(cut, len(batch)))):
+        got = assert_same_as_per_row(b)
+        assert got["payload_kind"].to_pylist() == classify_payload_kind(b)["payload_kind"].to_pylist()
+        assert got.equals(ExtractActor()(classify_payload_kind(b)))
+
+
+def test_the_sniff_edges():
+    """The cut magic prefixes sniff as ``error``; the whole ones, RIFF....WEBP
+    and a '<' at offset 15 sniff as their kinds; a '<' at offset 16 is past
+    the window."""
+    _kernel()
+    payloads = [HEAD[:4], PNG_MAGIC[:7], WEBP[:11], HEAD, PNG_MAGIC, WEBP,
+                b"x" * 15 + b"<p>", b"x" * 16 + b"<p>", b"", None]
+    out = ExtractActor()(_batch([(p, "en", None) for p in payloads], kind=False))
+    assert out["payload_kind"].to_pylist() == [
+        "error", "error", "error", "pdf", "image", "image", "html", "error", "blank", "blank"]
+
+
+def test_declined_pdf_rows_are_decoded_once(monkeypatch):
+    """A PDF row the batch kernel declines goes to the Python decoder, not
+    back through the PDF kernel; the output is the per-row path's."""
+    _kernel()
+    declined = [HEAD + b'[[0,0,6,10,"\\ud800"]]', HEAD + b"[[0.5,0,6,10,\"a\"]]"]
+    rs = [(p, "en", None) for p in [*declined, f"<p>{PAD}</p>".encode(), *declined]]
+    batch = _batch(rs)
+    want = per_row(batch)
+    calls = []
+    monkeypatch.setattr(native.NativeKernel, "pdf_page", lambda *a: calls.append(a))
+    got = ExtractActor()(batch)
+    assert calls == []
+    assert got.equals(want)
+    assert got["status"].to_pylist() == ["error", "ok", "ok", "error", "ok"]
 
 
 def test_the_mixed_rows_take_every_branch():
@@ -153,6 +210,8 @@ def test_empty_batch():
 
 
 def test_sha256_equals_hashlib():
+    """Both block functions: the one chosen for this CPU (SHA-NI where it
+    has the SHA extensions) and the portable one."""
     kernel = _kernel()
     rng = random.Random(0)
     # every length to 300 crosses the 55/56, 63/64 and 119/120 padding edges
@@ -160,4 +219,6 @@ def test_sha256_equals_hashlib():
     cases += [rng.randbytes(rng.randrange(5000)) for _ in range(1000)]
     cases.append(("é 😀 text " * 400_000)[:5_000_000].encode())
     for data in cases:
-        assert kernel.sha256_hex(data) == hashlib.sha256(data).hexdigest(), len(data)
+        want = hashlib.sha256(data).hexdigest()
+        assert kernel.sha256_hex(data) == want, len(data)
+        assert kernel.sha256_hex(data, portable=True) == want, len(data)

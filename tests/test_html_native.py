@@ -221,8 +221,9 @@ def test_unwritable_cache_falls_back(tmp_path, monkeypatch):
 
 
 _SANITIZED_RUN = r"""
-import random, sys
+import hashlib, random, sys
 sys.path[:0] = [sys.argv[2], sys.argv[3]]
+import pyarrow as pa
 import pyarrow.parquet as pq
 from ai_service_ocr_grading_handler_ray.stages.classify import KINDS, classify_payload_kind
 from ai_service_ocr_grading_handler_ray.stages.html_extract import extract_html_fused_py
@@ -274,15 +275,16 @@ def batch_call(payloads, kinds, first=0):
     offsets_buf = ffi.new(f"int64_t[{len(offsets)}]", offsets)
     out = ffi.new("xb_text *")
     sha = ffi.new(f"char[{64 * n}]")
+    kinds_buf = ffi.new(f"int8_t[{n}]", kinds[first:])
     rc = lib.xb_extract(
-        offsets_buf + first, data_buf, n, ffi.new(f"int8_t[{n}]", kinds[first:]),
+        offsets_buf + first, data_buf, n, kinds_buf,
         ffi.new(f"int64_t[{n}]", [25] * n), ffi.new(f"int64_t[{n}]", [33] * n),
         ffi.new(f"int64_t[{n + 1}]"), ffi.new(f"int64_t[{n + 1}]"), ffi.new(f"int32_t[{n}]"),
         ffi.new(f"int8_t[{n}]"), ffi.new(f"uint8_t[{n}]"), ffi.new(f"uint8_t[{n}]"), sha, out)
     assert rc == 0
     lib.xb_free(out.text)
     lib.xb_free(out.title)
-    return [ffi.unpack(sha + 64 * i, 64) for i in range(n)]
+    return list(kinds_buf)
 
 
 kinds = [KINDS.index(k) for k in pages["payload_kind"].to_pylist()]
@@ -296,6 +298,26 @@ for raw in (b"", b"<p>x</p>", payloads[0], bytes(range(256))):  # one row
     for kind in range(len(KINDS)):
         batch_call([raw], [kind])
 batch_call([], [])  # zero rows
+
+# the sniff (kind -1), over the same rows and one row at a time over its
+# edges: each payload then ends exactly where its buffer does
+assert batch_call(payloads, [-1] * len(payloads)) == kinds
+edges = [m[:cut] for m in (b"%PDF-1.4", b"\x89PNG\r\n\x1a\nGRAFTOCR", b"RIFF\0\0\0\0WEBPVP8 ")
+         for cut in range(13)]
+edges += [b"x" * at + b"<" for at in range(18)] + [payloads[0][:cut] for cut in range(20)]
+for raw in edges:
+    sniffed = classify_payload_kind(pa.table({"html": pa.array([raw], pa.binary())}))
+    assert batch_call([raw], [-1]) == [KINDS.index(sniffed["payload_kind"][0].as_py())], raw
+
+# both SHA-256 block functions, each input in a buffer of exactly its size
+rng = random.Random(1)
+hex_ = ffi.new("char[64]")
+for data in [rng.randbytes(n) for n in range(300)] + [rng.randbytes(70_000)]:
+    buf = ffi.new(f"char[{len(data)}]")
+    ffi.memmove(buf, data, len(data))
+    for digest in (lib.xb_sha256_hex, lib.xb_sha256_hex_portable):
+        digest(buf, len(data), hex_)
+        assert ffi.unpack(hex_, 64).decode() == hashlib.sha256(data).hexdigest()
 print("sanitized run ok", len(html))
 """
 

@@ -1,6 +1,6 @@
-"""Stage A's unit of work: one fused read → classify → extract → write task
-per ~16 MiB group of whole input files (``sources.readers.read_tasks``),
-and the 256-row batches of every other input."""
+"""Stage A's unit of work: one fused read → extract → write task per
+~16 MiB group of whole input files (``sources.readers.read_tasks``), and
+the 256-row batches of every other input."""
 
 import base64
 import json
@@ -81,8 +81,9 @@ def test_byte_rule_writes_fewer_files_than_read_blocks(tmp_path, pages_files):
 
 
 def test_grouped_read_runs_as_one_operator(tmp_path, pages_files):
-    """Read, classify, extract and write execute as ONE Ray Data operator,
-    and the read's block target stays on the dataset's own context."""
+    """Read (``PagesDatasource``), extract and write execute as ONE Ray Data
+    operator, and the read's block target stays on the dataset's own
+    context."""
     from ray.data import DataContext
 
     before = DataContext.get_current().target_max_block_size
@@ -90,7 +91,7 @@ def test_grouped_read_runs_as_one_operator(tmp_path, pages_files):
     ds.write_parquet(str(tmp_path / "out"))
     ops = re.findall(r"^Operator \d+ (\S+):", ds.stats(), flags=re.M)
     assert len(ops) == 1, ds.stats()
-    assert ops[0].startswith("ReadParquet") and ops[0].endswith("Write"), ops
+    assert ops == ["ReadPages->MapBatches(extract_batch_task)->Write"], ops
     assert DataContext.get_current().target_max_block_size == before
 
 
