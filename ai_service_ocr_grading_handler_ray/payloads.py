@@ -18,8 +18,6 @@ import json
 import struct
 import zlib
 
-from .stages import native
-
 # Real-world magic bytes (what classify.py sniffs).
 PDF_MAGIC = b"%PDF-"
 PNG_MAGIC = b"\x89PNG\r\n\x1a\n"
@@ -49,27 +47,17 @@ def _glyph_body(payload: bytes) -> int:
     return idx + len(GLYPH_MARKER)
 
 
-def decode_pdf_glyphs(payload: bytes) -> list[tuple[int, int, int, int, str]] | native.GlyphPage:
-    """Parse a synthetic-PDF payload back into glyph boxes.
+def decode_pdf_glyphs(payload: bytes) -> list[tuple[int, int, int, int, str]]:
+    """Parse a synthetic-PDF payload back into glyph boxes (``json.loads``).
 
-    Production engine: the native kernel (``stages/pdf_native.c``, built on
-    first use by ``stages/native.py``) decodes the JSON in C and lays the
-    page out in the same call; it returns a ``native.GlyphPage``, which
-    iterates and compares as the glyph list and carries the layout for
-    ``pdf_layout.parse_pdf_layout``.  Where the kernel cannot be built, or
-    declines the payload (anything but ``[[int,int,int,int,"str"],…]``
-    with ints in [0, 2^30), valid UTF-8 and no lone surrogate), this is
-    ``decode_pdf_glyphs_py``: the same output or the same exception.
+    The Python decoder: ``pdf_layout.parse_pdf_layout`` of its output is the
+    oracle of the native PDF kernel (``stages/pdf_native.c``, which decodes
+    and lays out a page inside the Stage-A batch call), and the path of
+    every PDF row that kernel declines (anything but
+    ``[[int,int,int,int,"str"],…]`` with ints in [0, 2^30), valid UTF-8 and
+    no lone surrogate) or cannot run on.  A glyph text holding a lone
+    surrogate raises ``ValueError``: it has no UTF-8 form to digest.
     """
-    kernel = native.load()
-    page = kernel.pdf_page(payload, _glyph_body(payload)) if kernel is not None else None
-    return page if page is not None else decode_pdf_glyphs_py(payload)
-
-
-def decode_pdf_glyphs_py(payload: bytes) -> list[tuple[int, int, int, int, str]]:
-    """Python body of ``decode_pdf_glyphs`` (``json.loads``): the oracle of
-    the native kernel and its fallback.  A glyph text holding a lone
-    surrogate raises ``ValueError``: it has no UTF-8 form to digest."""
     text = payload[_glyph_body(payload):].decode("utf-8")
     glyphs = [tuple(g) for g in json.loads(text)]
     if "\\u" in text:  # only a \u escape decodes to a lone surrogate

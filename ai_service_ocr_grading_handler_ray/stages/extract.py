@@ -19,10 +19,10 @@ The rows it flags run through ``ExtractActor._extract_one`` and
 ``sha256_hex`` instead: image rows (OCR), HTML that is not valid UTF-8
 (Python's ``errors="replace"`` decode is the one definition of its
 repair), and PDFs without the glyph marker or that the PDF kernel
-declines (those go straight to the Python decoder, not through the
-kernel again).  The oracle engine (``html_engine="stdlib"``), and the
-production one on a host without a compiler, sniff with
-``classify_payload_kind`` and run every row that way.  The output
+declines (the Python decoder and XY-cut).  The oracle engine
+(``html_engine="stdlib"``), and the production one on a host without a
+compiler, sniff with ``classify_payload_kind`` and run every row that
+way; the two differ only in the HTML engine.  The output
 columns keep the batch's row order.  Parser state (OCR engine, per-lang
 policies) is built once per engine in ``__init__``.  Per-row failures follow the poison-pill
 policy (SURVEY.md §4): the row gets ``status='error'`` and empty text
@@ -48,7 +48,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import get_policy
-from ..payloads import decode_pdf_glyphs, decode_pdf_glyphs_py
+from ..payloads import decode_pdf_glyphs
 from ..schema import EXTRACTED_SCHEMA
 from . import native
 from .classify import KINDS, classify_payload_kind, single_array
@@ -75,15 +75,16 @@ class ExtractActor:
     come from the per-lang policy table (config.EXTRACTION_POLICIES).
 
     ``html_engine`` picks the engines for HTML and PDF rows together:
-    ``"fused"`` runs the production kernels (the native batch call, else
-    the Python bodies per row), ``"stdlib"`` the oracles per row
-    (``html.parser``; ``decode_pdf_glyphs_py`` + the Python XY-cut;
-    ``hashlib``).  The benchmark's row check (``perfbench/check.py``)
-    digests every row with the ``"stdlib"`` twin, so it compares the
-    native kernels and the C SHA-256 with their oracles on every HTML and
-    PDF row.  Per-row PDF rows go through this module's
-    ``decode_pdf_glyphs`` and ``parse_pdf_layout`` names, which the traced
-    benchmark wraps; the batch call goes around them.
+    ``"fused"`` runs the production kernels (the native batch call; per
+    row where it cannot be built), ``"stdlib"`` the oracles per row
+    (``extract_html_with_title``; ``decode_pdf_glyphs`` + the Python
+    XY-cut; ``hashlib``).  Per row, the PDF path is the Python one for
+    both.  The benchmark's row check (``perfbench/check.py``) digests
+    every row with the ``"stdlib"`` twin, so it compares the native
+    kernels and the C SHA-256 with their oracles on every HTML and PDF
+    row.  Per-row PDF rows go through this module's ``decode_pdf_glyphs``
+    and ``parse_pdf_layout`` names, which the traced benchmark wraps; the
+    batch call goes around them.
     """
 
     def __init__(
@@ -100,7 +101,6 @@ class ExtractActor:
             "fused": extract_html_fused,
             "stdlib": extract_html_with_title,
         }[html_engine]
-        self._pdf_oracle = html_engine == "stdlib"
         self._fused = html_engine == "fused"
 
     def _params_for(self, lang: str) -> tuple[int, int]:
@@ -110,12 +110,8 @@ class ExtractActor:
             self._policy_cache[key] = (p["min_len"], p["max_link_pct"])
         return self._policy_cache[key]
 
-    def _extract_one(
-        self, kind: str, payload: bytes, lang: str = "", *, declined: bool = False
-    ) -> tuple[str, int, str, str]:
-        """→ (extracted_text, n_blocks, status, title).  ``declined``: the
-        batch kernel left this row to Python; a PDF row is then decoded in
-        Python without asking the PDF kernel again."""
+    def _extract_one(self, kind: str, payload: bytes, lang: str = "") -> tuple[str, int, str, str]:
+        """→ (extracted_text, n_blocks, status, title)."""
         if kind == "blank":
             return "", 0, "blank", ""
         try:
@@ -124,9 +120,7 @@ class ExtractActor:
                 text, n, title = self._extract_html(payload, min_len, max_link_pct)
                 return text, n, ("ok" if text else "blank"), title
             if kind == "pdf":
-                python = self._pdf_oracle or declined
-                decode = decode_pdf_glyphs_py if python else decode_pdf_glyphs
-                text, n = parse_pdf_layout(decode(payload))
+                text, n = parse_pdf_layout(decode_pdf_glyphs(payload))
                 return text, n, ("ok" if text else "blank"), ""
             if kind == "image":
                 text = self.ocr.recognize(payload)
@@ -214,7 +208,7 @@ class ExtractActor:
             if "lang" in batch.column_names:
                 langs = batch["lang"].take(rows).to_pylist()
             done = [
-                self._extract_one(KINDS[kind], payload, lang or "", declined=True)
+                self._extract_one(KINDS[kind], payload, lang or "")
                 for kind, payload, lang in zip(kinds[rows], html.take(rows).to_pylist(), langs)
             ]
             texts, blocks, statuses, titles = zip(*done)
@@ -224,7 +218,9 @@ class ExtractActor:
             res.sha[rows] = np.frombuffer(
                 "".join(sha256_hex(t) for t in texts).encode("ascii"), np.uint8
             ).reshape(-1, 64)
-            text, title = _splice(text, rows, texts), _splice(title, rows, titles)
+            flagged = pa.array(res.flagged)
+            text = pc.replace_with_mask(text, flagged, pa.array(texts, text.type))
+            title = pc.replace_with_mask(title, flagged, pa.array(titles, title.type))
 
         offsets = np.arange(0, 64 * n + 1, 64, dtype=np.int32)
         digests = pa.Array.from_buffers(
@@ -250,13 +246,6 @@ class ExtractActor:
             index = encoded.indices.fill_null(-1).to_numpy().astype(np.intp) + 1
         table = np.array([self._params_for(lang) for lang in langs], np.int64)[index]
         return table[:, 0], table[:, 1]
-
-
-def _splice(column: pa.Array, rows: np.ndarray, values: tuple[str, ...]) -> pa.Array:
-    """``column``, empty at ``rows``, with ``values`` put there."""
-    index = np.arange(len(column))
-    index[rows] = len(column) + np.arange(len(rows))
-    return pa.concat_arrays([column, pa.array(values, column.type)]).take(index)
 
 
 # --- stateless tasks with a per-worker engine cache -------------------------

@@ -7,15 +7,40 @@ This is the engine's analogue of the reference's Stage-A extraction
 ``ocr_llm_calling_modules.py:49-79``) — re-expressed as a deterministic
 local DOM heuristic instead of a remote vision LLM (SURVEY.md T5).
 
-Engines:
-- ``extract_html_fused`` (production): one fused tokenizer + classifier,
-  run by the native kernel ``html_native.c`` (built on first use, see
-  ``native.py``) or, where it cannot be built, by its Python body
-  ``extract_html_fused_py``.  The two give identical output on any input.
-- ``extract_html_with_title`` (oracle): stdlib ``html.parser`` driving
-  ``_BlockCollector``.  It matches the production engine on the page
-  corpus, not on every input: html.parser does not treat ``<title>`` as
-  RCDATA, so pathological unterminated titles differ.
+Engines (one production engine, one independent oracle):
+- ``extract_html_fused`` (production): one fused tokenizer + classifier in
+  C, ``html_native.c``, built on first use (see ``native.py``).  Where it
+  cannot be built, the oracle runs instead.
+- ``extract_html_with_title`` (oracle): ``_BlockCollector``, an
+  ``html.parser.HTMLParser`` whose tokenizer decisions are its own: it
+  overrides every markup scan of the stdlib parser and keeps only its
+  text loop.  The two engines are to give the same output on any input;
+  the tests fuzz one against the other.
+
+Tokenizer decisions, from the WHATWG HTML tokenizer (both engines):
+- ``script`` and ``style`` are RAWTEXT, ``title`` and ``textarea`` RCDATA
+  (character references decoded; a title's text is the page title, a
+  textarea's is dropped).  Their content runs to the first ``</`` + their
+  name, ASCII case-insensitively, followed by tab, LF, FF, CR, space,
+  ``/`` or ``>``; that end tag may carry attributes.  A self-closing flag
+  does not stop raw text.  Not modelled: script data's escape states, and
+  the raw text of ``iframe``, ``noembed``, ``noframes``, ``xmp`` and
+  ``plaintext``, which are tokenized as markup.
+- A tag name runs from an ASCII letter to tab, LF, FF, CR, space, ``/`` or
+  ``>``; attribute names and values follow the attribute states (quoted
+  values may hold ``>``), names are lowercased in ASCII only, a repeated
+  attribute is dropped, and values have their character references
+  decoded.  ``</`` + a character that is not an ASCII letter opens a
+  bogus comment, as do ``<!`` and ``<?``: it ends at the next ``>``.
+  ``</>`` is dropped; ``<`` before anything else is text.
+- A comment ends at ``-->`` or ``--!>`` (``<!-->`` and ``<!--->`` at
+  once).  EOF inside a tag drops the partial tag (eof-in-tag); EOF inside
+  a comment ends it; EOF inside raw text ends the element.
+- Character references follow ``html.unescape``, in text and in
+  attribute values alike.
+- Not tokenizer matters, and so not modelled: tree construction (implied
+  and mis-nested tags, foreign content), except that a self-closing tag
+  other than the four above counts as its start and end tag.
 
 Design for deterministic output (SURVEY.md §7.4):
 - stdlib tokenizers (no lxml in the container; version-stable),
@@ -25,17 +50,19 @@ Design for deterministic output (SURVEY.md §7.4):
 
 Classification rules (applied per flat block, in order):
 1. blocks inside <nav>/<header>/<footer>/<aside> or an element whose
-   id/class matches a boilerplate pattern are dropped (context rule);
+   id/class/role matches a boilerplate pattern are dropped (context rule);
 2. blocks shorter than ``min_len`` normalized chars are dropped;
 3. blocks whose link-char share exceeds ``max_link_pct`` percent are
-   dropped (link farms, menus);
+   dropped (link farms, menus); a link's chars are counted per text run
+   (the text between two pieces of markup);
 4. everything else is kept.
 """
 
 from __future__ import annotations
 
-import html as _html
 import re
+import string
+from html import unescape
 from html.parser import HTMLParser
 
 from . import native
@@ -60,6 +87,20 @@ _BOILER_ATTR = re.compile(
     r"(?:^|[\s_-])(" + "|".join(_BOILER_WORDS) + r")(?:$|[\s_-])", re.IGNORECASE
 )
 
+# --- the oracle's tokenizer pieces (WHATWG; see the module docstring) --------
+
+_ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
+_TAG_NAME = re.compile(r"[^\t\n\f\r />]*")  # after the first letter
+# one attribute from the before-attribute-name state; matches "" only at
+# ">", "/>" or EOF.  An unclosed quote runs to EOF (and so drops the tag).
+_ATTR = re.compile(
+    r"""(?:[\t\n\f\r ]|/(?!>))*
+    (?:([^\t\n\f\r />][^\t\n\f\r />=]*)[\t\n\f\r ]*
+       (?:=[\t\n\f\r ]*("[^"]*"?|'[^']*'?|[^\t\n\f\r >]*))?)?""",
+    re.VERBOSE,
+)
+_COMMENT_END = re.compile(r"--!?>")
+
 
 class Block:
     """One flat text block with link accounting.  ``text`` is normalized
@@ -76,18 +117,29 @@ class Block:
 
 
 class _BlockCollector(HTMLParser):
-    """Single-pass SAX-style collector producing flat blocks in doc order."""
+    """Single-pass SAX-style collector producing flat blocks in doc order.
+
+    The stdlib parser only finds each ``<`` and hands over the text
+    between; every markup scan below is this class's own.  It reads a
+    whole document: ``feed`` it once, then ``close``."""
+
+    CDATA_CONTENT_ELEMENTS = ("script", "style")  # RAWTEXT
+    RCDATA_CONTENT_ELEMENTS = ("title", "textarea")
+    _END_TAG = {
+        t: re.compile(rf"</{t}(?=[\t\n\f\r />])", re.IGNORECASE | re.ASCII)
+        for t in CDATA_CONTENT_ELEMENTS + RCDATA_CONTENT_ELEMENTS
+    }
 
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
         self.blocks: list[Block] = []
         self._cur = Block()
+        self._run: list[str] = []  # text since the last markup
         self._skip_depth = 0
         self._boiler_depth = 0
         self._attr_boiler_stack: list[str] = []  # tags opened with boiler id/class
         self._link_depth = 0
         self.title_parts: list[str] = []
-        self._in_title = False
 
     # -- helpers -------------------------------------------------------
     def _flush(self) -> None:
@@ -100,6 +152,99 @@ class _BlockCollector(HTMLParser):
                 self.blocks.append(cur)
         self._cur = Block(boiler_ctx=self._boiler_depth > 0 or bool(self._attr_boiler_stack))
 
+    def _end_run(self) -> None:
+        """Markup ends the current text run: it joins the block."""
+        data = "".join(self._run)
+        self._run.clear()
+        if data:
+            self._cur.parts.append(data)
+            if self._link_depth:
+                self._cur.link_chars += len(" ".join(data.split()))
+
+    # -- tokenizer -----------------------------------------------------
+    def _scan_attrs(self, k: int) -> tuple[int | None, list[tuple[str, str | None]], bool]:
+        """The attribute states from ``k`` (just past a tag name):
+        ``(end, attrs, self_closing)``, ``end`` None at EOF."""
+        rawdata = self.rawdata
+        attrs: dict[str, str | None] = {}
+        while True:
+            m = _ATTR.match(rawdata, k)
+            k = m.end()
+            name, value = m.group(1, 2)
+            if name is None:
+                break
+            name = name.translate(_ASCII_LOWER)
+            if name not in attrs:  # a repeated attribute is dropped
+                if value and value[0] in "\"'":
+                    value = value[1:-1]
+                attrs[name] = None if value is None else unescape(value)
+        if rawdata.startswith(">", k):
+            return k + 1, list(attrs.items()), False
+        if rawdata.startswith("/>", k):
+            return k + 2, list(attrs.items()), True
+        return None, [], False
+
+    def parse_starttag(self, i: int) -> int:  # rawdata[i:] is "<" + ASCII letter
+        self._end_run()
+        name = _TAG_NAME.match(self.rawdata, i + 1)
+        end, attrs, self_closing = self._scan_attrs(name.end())
+        if end is None:
+            return len(self.rawdata)  # eof-in-tag
+        tag = name.group().translate(_ASCII_LOWER)
+        self.handle_starttag(tag, attrs)
+        if tag in self._END_TAG:
+            self.set_cdata_mode(tag)
+        elif self_closing:
+            self.handle_endtag(tag)
+        return end
+
+    def parse_endtag(self, i: int) -> int:  # rawdata[i:] starts with "</"
+        rawdata = self.rawdata
+        c = rawdata[i + 2 : i + 3]
+        if not c:
+            self.handle_data("</")  # EOF: text
+            return i + 2
+        self._end_run()
+        if c == ">":
+            return i + 3
+        if c not in string.ascii_letters:
+            return self.parse_bogus_comment(i)
+        name = _TAG_NAME.match(rawdata, i + 2)
+        end = self._scan_attrs(name.end())[0]
+        if end is None:
+            return len(rawdata)  # eof-in-tag
+        self.clear_cdata_mode()
+        self.handle_endtag(name.group().translate(_ASCII_LOWER))
+        return end
+
+    def parse_comment(self, i: int, report: int = 1) -> int:  # "<!--"
+        self._end_run()
+        rawdata = self.rawdata
+        for abrupt in (">", "->"):
+            if rawdata.startswith(abrupt, i + 4):
+                return i + 4 + len(abrupt)
+        m = _COMMENT_END.search(rawdata, i + 4)
+        return m.end() if m else len(rawdata)
+
+    def parse_bogus_comment(self, i: int, report: int = 1) -> int:
+        """``<!…``, ``<?…`` and ``</`` + a non-letter: to the next ``>``."""
+        self._end_run()
+        end = self.rawdata.find(">", i + 2)
+        return len(self.rawdata) if end < 0 else end + 1
+
+    parse_html_declaration = parse_pi = parse_bogus_comment
+
+    def set_cdata_mode(self, elem: str) -> None:
+        self.cdata_elem = elem
+        self.interesting = self._END_TAG[elem]
+
+    def close(self) -> None:
+        super().close()
+        if self.cdata_elem is not None:  # EOF in raw text ends the element
+            self.handle_data(self.rawdata)
+            self.rawdata = ""
+        self._end_run()
+
     # -- parser callbacks ---------------------------------------------
     def handle_starttag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
         if tag in _VOID_TAGS:
@@ -107,7 +252,6 @@ class _BlockCollector(HTMLParser):
                 self._cur.parts.append(" ")
             return
         if tag == "title":
-            self._in_title = True
             return
         if tag in _SKIP_TAGS:
             self._skip_depth += 1
@@ -132,7 +276,6 @@ class _BlockCollector(HTMLParser):
 
     def handle_endtag(self, tag: str) -> None:
         if tag == "title":
-            self._in_title = False
             return
         if tag in _SKIP_TAGS:
             self._skip_depth = max(0, self._skip_depth - 1)
@@ -150,16 +293,11 @@ class _BlockCollector(HTMLParser):
             self._cur.boiler_ctx = self._boiler_depth > 0 or bool(self._attr_boiler_stack)
 
     def handle_data(self, data: str) -> None:
-        if self._in_title:  # before the skip check: <title> lives in <head>
-            self.title_parts.append(data)
-            return
-        if self._skip_depth:
-            return
-        if not data:
-            return
-        self._cur.parts.append(data)
-        if self._link_depth:
-            self._cur.link_chars += len(" ".join(data.split()))
+        if self.cdata_elem is not None:  # raw text: only a title's reaches output
+            if self.cdata_elem == "title":
+                self.title_parts.append(unescape(data))
+        elif not self._skip_depth:
+            self._run.append(data)
 
 
 def extract_html_with_title(
@@ -170,8 +308,8 @@ def extract_html_with_title(
     """Strip boilerplate; return ``(extracted_text, n_kept_blocks, title)``.
 
     Deterministic: integer thresholds, document-order blocks, no float
-    comparisons.  Never raises on malformed HTML (html.parser is lenient);
-    decoding uses UTF-8 with replacement so garbage can't throw.
+    comparisons.  Never raises on malformed HTML; decoding uses UTF-8
+    with replacement so garbage can't throw.
     """
     if isinstance(payload, bytes):
         doc = payload.decode("utf-8", errors="replace")
@@ -198,31 +336,14 @@ def extract_html_with_title(
     return "\n\n".join(kept), len(kept), title
 
 
-# --- production engine: fused tokenizer + block classifier -------------------
+# --- the production engine's tag tables ----------------------------------------
 #
-# One function tokenizes with regexes (no per-event method calls, no Block
-# objects) and classifies blocks as it goes.  html_native.c implements
-# these regexes and this state machine in C.
+# native.py generates html_native.c's tag table from these sets.
 
-_TAG_RE = re.compile(
-    r"<(?:"
-    r"!--.*?(?:-->|$)"  # comments (unterminated → to EOF)
-    r"|!\[CDATA\[.*?(?:\]\]>|$)"
-    r"|[!?][^>]*>?"  # doctype / processing instruction
-    r"|(/?)([a-zA-Z][a-zA-Z0-9:_-]*)((?:\"[^\"]*\"|'[^']*'|[^>\"'])*)>?"
-    r")",
-    re.DOTALL,
-)
-_ATTR_RE = re.compile(
-    r"([a-zA-Z:_-]+)\s*=\s*(?:\"([^\"]*)\"|'([^']*)'|([^\s>]*))"
-)
-_RAWTEXT = frozenset(("script", "style", "textarea"))
-_ATTR_HINT = re.compile(r"\b(?:id|class|role)\s*=", re.IGNORECASE)
-_CLOSE_RE = {
-    t: re.compile(rf"</{t}\s*>", re.IGNORECASE) for t in (*_RAWTEXT, "title")
-}
+# elements whose content runs, as text, to their own end tag
+_RAWTEXT = frozenset(_BlockCollector._END_TAG)
 # tags whose start/end can change the classifier state; any other tag
-# without a boilerplate-attr hint is a no-op (most inline tags)
+# without a boilerplate id/class/role is a no-op (most inline tags)
 _EVENT_TAGS = frozenset(
     _BLOCK_TAGS | _SKIP_TAGS | _VOID_TAGS | _RAWTEXT | {"a", "title"}
 )
@@ -235,144 +356,10 @@ def extract_html_fused(
 ) -> tuple[str, int, str]:
     """Production HTML engine: ``(extracted_text, n_kept_blocks, title)``.
 
-    Runs the native kernel (html_native.c), built on first use; falls back
-    to ``extract_html_fused_py`` when it cannot be built.  Both give the
-    same output."""
+    Runs the native kernel (html_native.c), built on first use; where it
+    cannot be built, or cannot carry the thresholds, runs the oracle
+    ``extract_html_with_title``, which gives the same output."""
     kernel = native.load()
     if kernel is not None and kernel.accepts(min_len, max_link_pct):
         return kernel(payload, min_len, max_link_pct)
-    return extract_html_fused_py(payload, min_len, max_link_pct)
-
-
-def extract_html_fused_py(
-    payload: bytes | str,
-    min_len: int = 25,
-    max_link_pct: int = 33,
-) -> tuple[str, int, str]:
-    """Python body of ``extract_html_fused``: the reference for the native
-    kernel and the fallback where it cannot be built."""
-    if isinstance(payload, bytes):
-        doc = payload.decode("utf-8", errors="replace")
-    else:
-        doc = payload
-
-    kept: list[str] = []
-    title_parts: list[str] = []
-    skip_depth = 0
-    boiler_depth = 0
-    attr_stack: list[str] = []
-    link_depth = 0
-    parts: list[str] = []
-    link_chars = 0
-    cur_boiler = False
-
-    def flush() -> None:
-        """Close the current block: keep it if it passes the rules."""
-        nonlocal link_chars
-        if parts:
-            text = " ".join("".join(parts).split())
-            if text and not cur_boiler:
-                tl = len(text)
-                if tl >= min_len and link_chars * 100 <= tl * max_link_pct:
-                    kept.append(text)
-            parts.clear()
-            link_chars = 0
-
-    def end_tag(tag: str) -> None:
-        """End-tag chain (mirrors _BlockCollector.handle_endtag)."""
-        nonlocal skip_depth, link_depth, boiler_depth, cur_boiler
-        if tag == "title":
-            return
-        if tag in _SKIP_TAGS:
-            if skip_depth:
-                skip_depth -= 1
-            return
-        if skip_depth:
-            return
-        if tag == "a" and link_depth:
-            link_depth -= 1
-        if tag in _BLOCK_TAGS:
-            flush()
-            if tag in _BOILER_TAGS and boiler_depth:
-                boiler_depth -= 1
-            if attr_stack and attr_stack[-1] == tag:
-                attr_stack.pop()
-            cur_boiler = boiler_depth > 0 or bool(attr_stack)
-
-    pos = 0
-    n = len(doc)
-    search = _TAG_RE.search
-    unescape = _html.unescape
-    while pos < n:
-        m = search(doc, pos)
-        st = n if m is None else m.start()
-        if st > pos and not skip_depth:
-            d = unescape(doc[pos:st])
-            parts.append(d)
-            if link_depth:
-                link_chars += len(" ".join(d.split()))
-        if m is None:
-            break
-        pos = m.end()
-        closer, tag, rawattrs = m.group(1, 2, 3)
-        if tag is None:
-            continue  # comment / doctype / PI
-        if not tag.islower():
-            tag = tag.lower()
-        if closer:
-            if tag in _EVENT_TAGS:
-                end_tag(tag)
-            continue
-
-        # --- start-tag chain (mirrors _BlockCollector.handle_starttag) ---
-        if tag in _VOID_TAGS:
-            if tag == "br" and not skip_depth:
-                parts.append(" ")
-            continue
-        hint = rawattrs and _ATTR_HINT.search(rawattrs)
-        if tag == "title":
-            pass
-        elif tag in _SKIP_TAGS:
-            skip_depth += 1
-        elif not skip_depth and (tag in _EVENT_TAGS or hint):
-            if tag == "a":
-                link_depth += 1
-            attr_boiler = False
-            if hint:
-                for am in _ATTR_RE.finditer(rawattrs):
-                    if am.group(1).lower() in ("id", "class", "role"):
-                        val = am.group(2) or am.group(3) or am.group(4) or ""
-                        if val and _BOILER_ATTR.search(val):
-                            attr_boiler = True
-                            break
-            if tag in _BLOCK_TAGS:
-                flush()
-                if tag in _BOILER_TAGS:
-                    boiler_depth += 1
-                if attr_boiler:
-                    attr_stack.append(tag)
-                cur_boiler = boiler_depth > 0 or bool(attr_stack)
-            elif attr_boiler:
-                cur_boiler = True
-        if tag not in _EVENT_TAGS:
-            continue
-
-        if rawattrs.rstrip().endswith("/"):
-            end_tag(tag)  # self-closing
-        elif tag in _RAWTEXT:
-            cm = _CLOSE_RE[tag].search(doc, pos)
-            # script/style are skip tags (their start incremented);
-            # textarea is raw-text only
-            if tag in _SKIP_TAGS and skip_depth:
-                skip_depth -= 1
-            if cm is None:
-                break
-            pos = cm.end()
-        elif tag == "title":
-            cm = _CLOSE_RE["title"].search(doc, pos)
-            title_parts.append(unescape(doc[pos : cm.start()] if cm else doc[pos:]))
-            pos = cm.end() if cm else n
-
-    flush()  # parser close
-    title = " ".join("".join(title_parts).split())
-    return "\n\n".join(kept), len(kept), title
+    return extract_html_with_title(payload, min_len, max_link_pct)

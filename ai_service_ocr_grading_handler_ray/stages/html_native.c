@@ -1,12 +1,16 @@
-/* Native main-content HTML extractor.
+/* Native main-content HTML extractor: the production body of
+ * html_extract.extract_html_fused.
  *
- * One pass over a UTF-8 page does what html_extract.extract_html_fused_py
- * does with regexes and Python strings: tokenize (_TAG_RE, _ATTR_HINT,
- * _ATTR_RE, raw-text and <title> close scanning, html.unescape) and
- * classify blocks (skip / boiler / link depths, the attribute-boiler
- * stack, integer min_len / max_link_pct thresholds, str.split()
- * normalisation).  Lengths are counted in code points, as len() counts
- * them, so the output is byte-identical to the Python engine.
+ * One pass over a UTF-8 page tokenizes it by the WHATWG rules that
+ * html_extract.py's module docstring lists (RAWTEXT script/style, RCDATA
+ * title/textarea closed only by their own ASCII case-insensitive end tag,
+ * the attribute states, bogus comments, comments, eof-in-tag, character
+ * references as html.unescape decodes them) and classifies blocks as it
+ * goes (skip / boiler / link depths, the attribute-boiler stack, integer
+ * min_len / max_link_pct thresholds, str.split() normalisation).  Lengths
+ * are counted in code points, as len() counts them.  Its oracle is
+ * html_extract.extract_html_with_title, written separately from the same
+ * rules; the tests fuzz the two against each other.
  *
  * The function is total: any byte string is accepted, every read is
  * bounded by the input length and every write goes through a growing
@@ -15,10 +19,9 @@
  *
  * html_native_tables.h is generated by native.py from the running
  * Python: the tag sets (sorted, with the range of each first letter) and
- * boiler words of html_extract.py, the
- * html.entities.html5 table, html._invalid_charrefs and
- * html._invalid_codepoints, and the str.isspace / regex \w / IGNORECASE
- * facts of its Unicode database.
+ * boiler words of html_extract.py, the html.entities.html5 table,
+ * html._invalid_charrefs and html._invalid_codepoints, and the
+ * str.isspace and re.IGNORECASE facts of its Unicode database.
  */
 
 #include <stdlib.h>
@@ -35,14 +38,9 @@
 #define HX_TITLE 64u
 #define HX_BR 128u
 
-/* HX_ASCII bits */
-#define HX_C_SPACE 1u
-#define HX_C_WORD 2u
-
 typedef struct { const char *name; unsigned char len; unsigned char flags; } hx_tag;
 typedef struct { const char *name; unsigned char len; const char *value; unsigned char value_len; } hx_entity;
 typedef struct { uint32_t cp; const char *value; unsigned char value_len; } hx_charref;
-typedef struct { uint32_t lo, hi; } hx_range;
 typedef struct { uint32_t cp; char letter; } hx_fold;
 
 #include "html_native_tables.h"
@@ -154,26 +152,8 @@ static int in_sorted(const uint32_t *xs, size_t n, uint32_t cp)
 static int is_space(uint32_t cp)
 {
     if (cp < 0x80)
-        return (HX_ASCII[cp] & HX_C_SPACE) != 0;
+        return HX_ASCII_SPACE[cp];
     return in_sorted(HX_SPACES, HX_N_SPACES, cp);
-}
-
-/* the regex \w */
-static int is_word(uint32_t cp)
-{
-    size_t lo = 0, hi = HX_N_WORD;
-    if (cp < 0x80)
-        return (HX_ASCII[cp] & HX_C_WORD) != 0;
-    while (lo < hi) {
-        size_t mid = lo + (hi - lo) / 2;
-        if (cp < HX_WORD[mid].lo)
-            hi = mid;
-        else if (cp > HX_WORD[mid].hi)
-            lo = mid + 1;
-        else
-            return 1;
-    }
-    return 0;
 }
 
 /* Does cp match the lowercase ASCII letter c under re.IGNORECASE? */
@@ -188,38 +168,9 @@ static int letter_match(uint32_t cp, char c)
     return 0;
 }
 
-/* If s[i..limit) starts with `word` under re.IGNORECASE, return the
- * position after it, else 0 (a match never ends at 0). */
-static size_t match_word(const unsigned char *s, size_t i, size_t limit, const char *word)
-{
-    for (; *word; word++) {
-        uint32_t cp;
-        if (i >= limit)
-            return 0;
-        i += dec(s + i, limit - i, &cp);
-        if (!letter_match(cp, *word))
-            return 0;
-    }
-    return i;
-}
-
-static size_t skip_space(const unsigned char *s, size_t i, size_t limit)
-{
-    while (i < limit) {
-        uint32_t cp;
-        size_t l = dec(s + i, limit - i, &cp);
-        if (!is_space(cp))
-            break;
-        i += l;
-    }
-    return i;
-}
-
 static int is_alpha(unsigned char c) { return (unsigned char)((c | 0x20) - 'a') < 26; }
 static int is_digit(unsigned char c) { return (unsigned char)(c - '0') < 10; }
 static int is_xdigit(unsigned char c) { return is_digit(c) || (unsigned char)((c | 0x20) - 'a') < 6; }
-static int is_name(unsigned char c) { return is_alpha(c) || is_digit(c) || c == ':' || c == '_' || c == '-'; }
-static int is_attr_name(unsigned char c) { return is_alpha(c) || c == ':' || c == '_' || c == '-'; }
 
 /* ---- normalising text sink -------------------------------------------- */
 
@@ -416,9 +367,9 @@ static void emit_text(hx_sink *k, const unsigned char *s, size_t a, size_t b)
             i = charref(k, s, i, b);
             continue;
         }
-        if (s[i] < 0x80 && !(HX_ASCII[s[i]] & HX_C_SPACE)) { /* ASCII run, in one copy */
+        if (s[i] < 0x80 && !HX_ASCII_SPACE[s[i]]) { /* ASCII run, in one copy */
             l = i + 1;
-            while (l < b && s[l] < 0x80 && s[l] != '&' && !(HX_ASCII[s[l]] & HX_C_SPACE))
+            while (l < b && s[l] < 0x80 && s[l] != '&' && !HX_ASCII_SPACE[s[l]])
                 l++;
             sink_word(k, s + i, l - i, (int64_t)(l - i));
             i = l;
@@ -430,23 +381,24 @@ static void emit_text(hx_sink *k, const unsigned char *s, size_t a, size_t b)
     }
 }
 
-/* ---- tokenizer helpers --------------------------------------------------- */
+/* ---- extractor state ----------------------------------------------------- */
 
-/* First `ch` at or after `from` below `limit` (or `limit`), remembering
- * the last answer: a later search that starts inside the answered span
- * gets the same answer, which keeps unterminated quotes linear. */
-typedef struct { size_t from, at; } hx_memo;
+typedef struct {
+    const unsigned char *s;
+    size_t n;
+    int64_t min_len, max_link_pct;
+    hx_buf *out, *title;
+    hx_buf value; /* an attribute value with its character references decoded */
+    hx_sink blk, ttl;
+    size_t blk_start;
+    int64_t n_kept, link_chars, skip, boiler, link;
+    int cur_boiler;
+    int *stack;
+    size_t depth, stack_cap;
+    int oom;
+} hx_state;
 
-static size_t memo_find(hx_memo *m, const unsigned char *s, size_t from, size_t limit, unsigned char ch)
-{
-    const unsigned char *q;
-    if (from >= m->from && from <= m->at)
-        return m->at;
-    q = memchr(s + from, ch, limit - from);
-    m->from = from;
-    m->at = q ? (size_t)(q - s) : limit;
-    return m->at;
-}
+/* ---- tokenizer ------------------------------------------------------------ */
 
 static int has_at(const unsigned char *s, size_t i, size_t n, const char *lit)
 {
@@ -454,112 +406,84 @@ static int has_at(const unsigned char *s, size_t i, size_t n, const char *lit)
     return len <= n - i && memcmp(s + i, lit, len) == 0;
 }
 
-/* End of `<!--.*?(?:-->|$)` (pat "-->") or the CDATA twin, body at `from`. */
-static size_t markup_end(const unsigned char *s, size_t from, size_t n, const char *pat)
+/* What ends a tag name (space, '/', '>'), an attribute name (those and
+ * '=') and an unquoted attribute value (space, '>').  CR is space here:
+ * WHATWG's input preprocessing turns it into LF. */
+#define HX_T_SPACE 1u
+#define HX_T_SLASH 2u
+#define HX_T_GT 4u
+#define HX_T_EQ 8u
+static const unsigned char HX_TAGCH[256] = {
+    ['\t'] = HX_T_SPACE, ['\n'] = HX_T_SPACE, ['\f'] = HX_T_SPACE, ['\r'] = HX_T_SPACE,
+    [' '] = HX_T_SPACE, ['/'] = HX_T_SLASH, ['>'] = HX_T_GT, ['='] = HX_T_EQ,
+};
+
+/* The first position at or after `i` whose HX_TAGCH bits meet `stop`, or n. */
+static size_t span(const unsigned char *s, size_t i, size_t n, unsigned stop)
+{
+    while (i < n && !(HX_TAGCH[s[i]] & stop))
+        i++;
+    return i;
+}
+
+static size_t skip_tag_space(const unsigned char *s, size_t i, size_t n)
+{
+    while (i < n && (HX_TAGCH[s[i]] & HX_T_SPACE))
+        i++;
+    return i;
+}
+
+/* After the first '>' at or after `from`, or n: the end of a bogus
+ * comment or a doctype. */
+static size_t gt_end(const unsigned char *s, size_t from, size_t n)
+{
+    const unsigned char *q = from < n ? memchr(s + from, '>', n - from) : NULL;
+    return q ? (size_t)(q - s) + 1 : n;
+}
+
+/* The end of a comment whose "<!--" ends at `from`: after the first "-->"
+ * or "--!>", at once for "<!-->" and "<!--->", or n. */
+static size_t comment_end(const unsigned char *s, size_t from, size_t n)
 {
     size_t p = from;
-    while (p < n) {
-        const unsigned char *q = memchr(s + p, pat[0], n - p);
-        size_t i;
+    if (p < n && s[p] == '>')
+        return p + 1;
+    if (p + 1 < n && s[p] == '-' && s[p + 1] == '>')
+        return p + 2;
+    while (p + 2 < n) {
+        const unsigned char *q = memchr(s + p, '-', n - p - 2);
+        size_t j;
         if (!q)
             break;
-        i = (size_t)(q - s);
-        if (n - i >= 3 && q[1] == (unsigned char)pat[1] && q[2] == (unsigned char)pat[2])
-            return i + 3;
-        p = i + 1;
+        j = (size_t)(q - s);
+        if (s[j + 1] == '-' && (s[j + 2] == '>' || (s[j + 2] == '!' && j + 3 < n && s[j + 3] == '>')))
+            return j + 3 + (s[j + 2] == '!');
+        p = j + 1;
     }
-    /* the regex's `$` can also stop before a final newline, which then
-     * reads as data: whitespace at the end, invisible in the output */
     return n;
 }
 
-/* `</name\s*>` under re.IGNORECASE, from `from`. */
-static int find_close(const unsigned char *s, size_t from, size_t n, const char *name, size_t *cs, size_t *ce)
+/* The start of the first "</" + `name` (ASCII case-insensitive) followed by
+ * space, '/' or '>' at or after `from`, or n: the end of a raw-text
+ * element's content. */
+static size_t find_close(const unsigned char *s, size_t from, size_t n, const char *name, size_t len)
 {
     size_t p = from;
     while (p < n) {
         const unsigned char *q = memchr(s + p, '<', n - p);
-        size_t i, j;
+        size_t i, k;
         if (!q)
-            return 0;
+            break;
         i = (size_t)(q - s);
-        if (i + 1 < n && s[i + 1] == '/' && (j = match_word(s, i + 2, n, name)) != 0) {
-            j = skip_space(s, j, n);
-            if (j < n && s[j] == '>') {
-                *cs = i;
-                *ce = j + 1;
-                return 1;
-            }
+        if (n - i > len + 2 && s[i + 1] == '/') {
+            for (k = 0; k < len && (s[i + 2 + k] | 0x20) == (unsigned char)name[k]; k++)
+                ;
+            if (k == len && (HX_TAGCH[s[i + 2 + len]] & (HX_T_SPACE | HX_T_SLASH | HX_T_GT)))
+                return i;
         }
         p = i + 1;
     }
-    return 0;
-}
-
-/* rawattrs.rstrip().endswith("/") */
-static int ends_with_slash(const unsigned char *s, size_t a, size_t b)
-{
-    while (b > a) {
-        size_t st = b - 1;
-        uint32_t cp;
-        while (st > a && is_cont(s[st]) && b - st < 4)
-            st--;
-        if (dec(s + st, b - st, &cp) != b - st || !is_space(cp))
-            return s[b - 1] == '/';
-        b = st;
-    }
-    return 0;
-}
-
-/* _ATTR_HINT.search: \b(?:id|class|role)\s*= under re.IGNORECASE, on a
- * span holding non-ASCII code points (some fold onto ASCII letters). */
-static int attr_hint_unicode(const unsigned char *s, size_t a, size_t b)
-{
-    static const char *const words[] = {"id", "class", "role"};
-    int prev_word = 0;
-    size_t i = a, w;
-    while (i < b) {
-        uint32_t cp;
-        size_t l = dec(s + i, b - i, &cp);
-        if (!prev_word) {
-            for (w = 0; w < 3; w++) {
-                size_t j = match_word(s, i, b, words[w]);
-                if (j) {
-                    j = skip_space(s, j, b);
-                    if (j < b && s[j] == '=')
-                        return 1;
-                }
-            }
-        }
-        prev_word = is_word(cp);
-        i += l;
-    }
-    return 0;
-}
-
-/* The same search on any span: on an all-ASCII one only ASCII letters
- * match and \w and \s are HX_ASCII's, so the bytes are compared as is. */
-static int attr_hint(const unsigned char *s, size_t a, size_t b)
-{
-    size_t i, j;
-    for (i = a; i < b; i++)
-        if (s[i] >= 0x80)
-            return attr_hint_unicode(s, a, b);
-    for (i = a; i < b; i++) {
-        unsigned char c = s[i] | 0x20;
-        const char *word = c == 'i' ? "id" : c == 'c' ? "class" : c == 'r' ? "role" : NULL;
-        if (!word || (i > a && (HX_ASCII[s[i - 1]] & HX_C_WORD)))
-            continue;
-        for (j = i; *word && j < b && (s[j] | 0x20) == (unsigned char)*word; j++, word++)
-            ;
-        if (*word)
-            continue;
-        while (j < b && (HX_ASCII[s[j]] & HX_C_SPACE))
-            j++;
-        if (j < b && s[j] == '=')
-            return 1;
-    }
-    return 0;
+    return n;
 }
 
 /* _BOILER_ATTR.search(value): some piece between [\s_-] delimiters is a
@@ -598,58 +522,93 @@ static int boiler_value(const unsigned char *s, size_t a, size_t b)
     }
 }
 
-/* Some _ATTR_RE.finditer match over s[a..b) names id/class/role and has a
- * boiler value. */
-static int attrs_boiler(const unsigned char *s, size_t a, size_t b)
+/* boiler_value of the attribute value s[a..b) with its character
+ * references decoded.  The decoded value goes through a sink, which
+ * collapses and trims spaces: that cannot change a [\s_-]-delimited match. */
+static int boiler_attr(hx_state *st, size_t a, size_t b)
 {
-    hx_memo dq = {SIZE_MAX, 0}, sq = {SIZE_MAX, 0};
-    size_t i = a;
-    while (i < b) {
-        size_t ns, ne, j, vs, ve;
-        if (!is_attr_name(s[i])) {
+    hx_sink k;
+    if (!memchr(st->s + a, '&', b - a))
+        return boiler_value(st->s, a, b);
+    st->value.len = 0;
+    sink_reset(&k, &st->value, "", 0);
+    emit_text(&k, st->s, a, b);
+    if (st->value.oom) {
+        st->oom = 1;
+        return 0;
+    }
+    return boiler_value((const unsigned char *)st->value.p, 0, st->value.len);
+}
+
+/* 1, 2 or 4 when the attribute name s[a..b) is id, class or role in any
+ * ASCII case, else 0. */
+static unsigned attr_kind(const unsigned char *s, size_t a, size_t b)
+{
+    static const char *const names[] = {"id", "class", "role"};
+    unsigned k;
+    for (k = 0; k < 3; k++) {
+        const char *w = names[k];
+        size_t i = a;
+        while (*w && i < b && (s[i] | 0x20) == (unsigned char)*w) {
             i++;
-            continue;
+            w++;
         }
-        ns = i;
-        while (i < b && is_attr_name(s[i]))
-            i++;
-        ne = i;
-        j = skip_space(s, ne, b);
-        /* no match can start inside a name that no '=' follows */
-        if (j >= b || s[j] != '=')
-            continue;
-        j = skip_space(s, j + 1, b);
-        vs = ve = j;
-        if (j < b && (s[j] == '"' || s[j] == '\'')) {
-            size_t q = memo_find(s[j] == '"' ? &dq : &sq, s, j + 1, b, s[j]);
-            if (q < b) {
-                vs = j + 1;
-                ve = q;
-                i = q + 1;
-            }
-        }
-        if (vs == j) { /* unquoted: [^\s>]* */
-            while (ve < b && s[ve] != '>') {
-                uint32_t cp;
-                size_t l = dec(s + ve, b - ve, &cp);
-                if (is_space(cp))
-                    break;
-                ve += l;
-            }
-            i = ve;
-        }
-        if (((ne - ns == 2 && (s[ns] | 0x20) == 'i' && (s[ns + 1] | 0x20) == 'd') ||
-             (ne - ns == 5 && match_word(s, ns, ne, "class") == ne) ||
-             (ne - ns == 4 && match_word(s, ns, ne, "role") == ne)) &&
-            ve > vs && boiler_value(s, vs, ve))
-            return 1;
+        if (!*w && i == b)
+            return 1u << k;
     }
     return 0;
 }
 
-/* The tag named s[a..a+len) in any case: its flags and index in HX_TAGS,
- * or 0.  A name starts with an ASCII letter (next_tag), whose range of
- * HX_TAGS is HX_TAG_FIRST[letter - 'a'] .. HX_TAG_FIRST[letter - 'a' + 1]. */
+/* The attribute states from `i`, just past a tag name: the position after
+ * the tag's '>', or SIZE_MAX at EOF (eof-in-tag).  With `want`, *boiler
+ * says whether an id, class or role attribute has a boilerplate value; a
+ * repeated attribute is dropped, so the first of each name decides. */
+static size_t scan_attrs(hx_state *st, size_t i, int want, int *self_closing, int *boiler)
+{
+    const unsigned char *s = st->s;
+    size_t n = st->n;
+    unsigned seen = 0, kind;
+    *self_closing = *boiler = 0;
+    for (;;) {
+        size_t ns, ne, vs, ve;
+        /* before attribute name: a '/' not before '>' is dropped */
+        while (i < n && ((HX_TAGCH[s[i]] & HX_T_SPACE) || (s[i] == '/' && !(i + 1 < n && s[i + 1] == '>'))))
+            i++;
+        if (i >= n)
+            return SIZE_MAX;
+        if (s[i] == '>')
+            return i + 1;
+        if (s[i] == '/') {
+            *self_closing = 1;
+            return i + 2;
+        }
+        ns = i; /* the name's first character may be '=' */
+        ne = i = span(s, i + 1, n, HX_T_SPACE | HX_T_SLASH | HX_T_GT | HX_T_EQ);
+        vs = ve = i = skip_tag_space(s, i, n);
+        if (i < n && s[i] == '=') {
+            i = skip_tag_space(s, i + 1, n);
+            if (i < n && (s[i] == '"' || s[i] == '\'')) {
+                const unsigned char *q = memchr(s + i + 1, s[i], n - i - 1);
+                if (!q)
+                    return SIZE_MAX;
+                vs = i + 1;
+                ve = (size_t)(q - s);
+                i = ve + 1;
+            } else {
+                vs = i;
+                ve = i = span(s, i, n, HX_T_SPACE | HX_T_GT);
+            }
+        }
+        if (want && !*boiler && (kind = attr_kind(s, ns, ne) & ~seen) != 0) {
+            seen |= kind;
+            *boiler = boiler_attr(st, vs, ve);
+        }
+    }
+}
+
+/* The tag named s[a..a+len) in any ASCII case: its flags and index in
+ * HX_TAGS, or 0.  A name starts with an ASCII letter (next_tag), whose
+ * range of HX_TAGS is HX_TAG_FIRST[letter - 'a'] .. HX_TAG_FIRST[letter - 'a' + 1]. */
 static unsigned tag_lookup(const unsigned char *s, size_t a, size_t len, int *id)
 {
     char low[HX_TAG_MAX];
@@ -668,22 +627,59 @@ static unsigned tag_lookup(const unsigned char *s, size_t a, size_t len, int *id
     return 0;
 }
 
-/* ---- extractor state ----------------------------------------------------- */
-
+/* One piece of markup: s[start..end), end n at EOF.  `tag` is 0 for
+ * anything dropped (a comment, a bogus comment, a doctype, "</>", a tag
+ * cut off by EOF). */
 typedef struct {
-    const unsigned char *s;
-    size_t n;
-    int64_t min_len, max_link_pct;
-    hx_buf *out, *title;
-    hx_sink blk, ttl;
-    size_t blk_start;
-    int64_t n_kept, link_chars, skip, boiler, link;
-    int cur_boiler;
-    int *stack;
-    size_t depth, stack_cap;
-    int oom;
-    hx_memo dq, sq;
-} hx_state;
+    size_t start, end;
+    unsigned flags; /* tag_lookup's */
+    int tag, id, closer, self_closing, boiler;
+} hx_tok;
+
+/* The first piece of markup at or after `from`, or 0 when the rest is text
+ * ('<' before anything but an ASCII letter, '!', '?' or '/', and "</" at
+ * EOF, are text). */
+static int next_tag(hx_state *st, size_t from, hx_tok *t)
+{
+    const unsigned char *s = st->s;
+    size_t n = st->n, p = from;
+    while (p < n) {
+        const unsigned char *q = memchr(s + p, '<', n - p);
+        size_t i, k, name;
+        int want;
+        if (!q)
+            return 0;
+        i = (size_t)(q - s);
+        t->start = i;
+        t->tag = 0;
+        if (i + 1 < n && (s[i + 1] == '!' || s[i + 1] == '?')) {
+            t->end = has_at(s, i + 1, n, "!--") ? comment_end(s, i + 4, n) : gt_end(s, i + 2, n);
+            return 1;
+        }
+        t->closer = i + 1 < n && s[i + 1] == '/';
+        k = i + 1 + (size_t)t->closer;
+        if (k < n && is_alpha(s[k])) {
+            name = k;
+            k = span(s, k, n, HX_T_SPACE | HX_T_SLASH | HX_T_GT);
+            t->id = -1;
+            t->flags = tag_lookup(s, name, k - name, &t->id);
+            want = !t->closer && !st->skip && !(t->flags & (HX_VOID | HX_TITLE | HX_SKIP));
+            t->end = scan_attrs(st, k, want, &t->self_closing, &t->boiler);
+            t->tag = t->end != SIZE_MAX;
+            if (!t->tag)
+                t->end = n;
+            return 1;
+        }
+        if (t->closer && k < n) {
+            t->end = s[k] == '>' ? k + 1 : gt_end(s, k, n);
+            return 1;
+        }
+        p = i + 1;
+    }
+    return 0;
+}
+
+/* ---- classifier ------------------------------------------------------------ */
 
 static void block_begin(hx_state *st)
 {
@@ -703,6 +699,7 @@ static void flush(hx_state *st)
     block_begin(st);
 }
 
+/* One run of text (between two pieces of markup) joins the block. */
 static void emit_data(hx_state *st, size_t a, size_t b)
 {
     if (a >= b || st->skip)
@@ -750,9 +747,8 @@ static void end_tag(hx_state *st, unsigned f, int id)
     }
 }
 
-static void start_tag(hx_state *st, unsigned f, int id, size_t a, size_t b, int hint)
+static void start_tag(hx_state *st, unsigned f, int id, int boiler)
 {
-    int boiler_attr;
     if (f & HX_TITLE)
         return;
     if (f & HX_SKIP) {
@@ -763,70 +759,16 @@ static void start_tag(hx_state *st, unsigned f, int id, size_t a, size_t b, int 
         return;
     if (f & HX_A)
         st->link++;
-    boiler_attr = hint && attrs_boiler(st->s, a, b);
     if (f & HX_BLOCK) {
         flush(st);
         if (f & HX_BOILER)
             st->boiler++;
-        if (boiler_attr)
+        if (boiler)
             push_boiler(st, id);
         st->cur_boiler = st->boiler > 0 || st->depth > 0;
-    } else if (boiler_attr) {
+    } else if (boiler) {
         st->cur_boiler = 1;
     }
-}
-
-/* One _TAG_RE.search from `from`: the match [*ms, *me).  For a tag, also
- * the name [*na, *na + *nl), the attributes [*na + *nl, *ae) and closer. */
-static int next_tag(hx_state *st, size_t from, size_t *ms, size_t *me, size_t *na, size_t *nl,
-                    size_t *ae, int *closer)
-{
-    const unsigned char *s = st->s;
-    size_t n = st->n, p = from;
-    while (p < n) {
-        const unsigned char *q = memchr(s + p, '<', n - p);
-        size_t i, k;
-        if (!q)
-            return 0;
-        i = (size_t)(q - s);
-        *ms = i;
-        *nl = 0;
-        if (i + 1 < n && (s[i + 1] == '!' || s[i + 1] == '?')) {
-            if (has_at(s, i + 1, n, "!--")) {
-                *me = markup_end(s, i + 4, n, "-->");
-            } else if (has_at(s, i + 1, n, "![CDATA[")) {
-                *me = markup_end(s, i + 9, n, "]]>");
-            } else {
-                q = memchr(s + i + 2, '>', n - i - 2);
-                *me = q ? (size_t)(q - s) + 1 : n;
-            }
-            return 1;
-        }
-        k = i + 1;
-        *closer = k < n && s[k] == '/';
-        k += (size_t)*closer;
-        if (k < n && is_alpha(s[k])) {
-            *na = k;
-            while (k < n && is_name(s[k]))
-                k++;
-            *nl = k - *na;
-            while (k < n && s[k] != '>') {
-                if (s[k] == '"' || s[k] == '\'') {
-                    size_t e = memo_find(s[k] == '"' ? &st->dq : &st->sq, s, k + 1, n, s[k]);
-                    if (e == n)
-                        break;
-                    k = e + 1;
-                } else {
-                    k++;
-                }
-            }
-            *ae = k;
-            *me = k < n && s[k] == '>' ? k + 1 : k;
-            return 1;
-        }
-        p = i + 1;
-    }
-    return 0;
 }
 
 int64_t hx_append(const char *doc, size_t n, int64_t min_len, int64_t max_link_pct, hx_buf *text,
@@ -842,27 +784,25 @@ int64_t hx_append(const char *doc, size_t n, int64_t min_len, int64_t max_link_p
     st.max_link_pct = max_link_pct;
     st.out = text;
     st.title = title;
-    st.dq.from = st.sq.from = SIZE_MAX;
     hx_reserve(text, st.n / 2 + 16);
     block_begin(&st);
     sink_reset(&st.ttl, title, "", 0);
 
     while (pos < st.n) {
-        size_t ms, me, na = 0, nl, ae = 0;
-        int closer = 0, id = -1, hint;
+        hx_tok t;
         unsigned f;
-        if (!next_tag(&st, pos, &ms, &me, &na, &nl, &ae, &closer)) {
+        if (!next_tag(&st, pos, &t)) {
             emit_data(&st, pos, st.n);
             break;
         }
-        emit_data(&st, pos, ms);
-        pos = me;
-        if (!nl)
-            continue; /* comment / CDATA / doctype / processing instruction */
-        f = tag_lookup(st.s, na, nl, &id);
-        if (closer) {
+        emit_data(&st, pos, t.start);
+        pos = t.end;
+        if (!t.tag)
+            continue;
+        f = t.flags;
+        if (t.closer) {
             if (f)
-                end_tag(&st, f, id);
+                end_tag(&st, f, t.id);
             continue;
         }
         if (f & HX_VOID) {
@@ -870,33 +810,23 @@ int64_t hx_append(const char *doc, size_t n, int64_t min_len, int64_t max_link_p
                 sink_cp(&st.blk, ' ', " ", 1);
             continue;
         }
-        hint = ae > na + nl && attr_hint(st.s, na + nl, ae);
-        if (f || hint)
-            start_tag(&st, f, id, na + nl, ae, hint);
-        if (!f)
-            continue;
-        if (ends_with_slash(st.s, na + nl, ae)) {
-            end_tag(&st, f, id);
-            continue;
-        }
+        if (f || t.boiler)
+            start_tag(&st, f, t.id, t.boiler);
         if (f & HX_RAWTEXT) {
-            size_t cs, ce;
-            int found = find_close(st.s, pos, st.n, HX_TAGS[id].name, &cs, &ce);
-            if ((f & HX_SKIP) && st.skip)
-                st.skip--;
-            if (!found)
-                break;
-            pos = ce;
-        } else if (f & HX_TITLE) {
-            size_t cs = st.n, ce = st.n;
-            find_close(st.s, pos, st.n, "title", &cs, &ce);
-            emit_text(&st.ttl, st.s, pos, cs);
-            pos = ce;
+            /* the content runs to the element's end tag, the next piece of
+             * markup; a self-closing flag does not stop it */
+            size_t cs = find_close(st.s, pos, st.n, HX_TAGS[t.id].name, HX_TAGS[t.id].len);
+            if (f & HX_TITLE)
+                emit_text(&st.ttl, st.s, pos, cs);
+            pos = cs;
+        } else if (t.self_closing) {
+            end_tag(&st, f, t.id);
         }
     }
     flush(&st);
 
     free(st.stack);
+    free(st.value.p);
     return st.oom || text->oom || title->oom ? -1 : st.n_kept;
 }
 

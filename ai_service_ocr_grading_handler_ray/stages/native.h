@@ -1,6 +1,7 @@
 /* Declarations shared by the three kernel sources (html_native.c,
  * pdf_native.c, extract_native.c), which native.py compiles into one
- * library.  The cffi declarations in native.py repeat the exported ones. */
+ * library.  The cffi declarations in native.py repeat the exported ones;
+ * NATIVE_INTERNAL ones are called only from within the library. */
 
 #ifndef NATIVE_H
 #define NATIVE_H
@@ -54,8 +55,8 @@ typedef struct {
 
 enum { PX_OK = 0, PX_DECLINED = 1, PX_NOMEM = -1 };
 
-int px_extract(const char *body, size_t n, px_page *page);
-void px_free(px_page *page);
+NATIVE_INTERNAL int px_extract(const char *body, size_t n, px_page *page);
+NATIVE_INTERNAL void px_free(px_page *page);
 
 /* ---- extract_native.c --------------------------------------------------- */
 

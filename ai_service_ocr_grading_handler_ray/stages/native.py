@@ -1,16 +1,19 @@
 """Build, cache and open the native kernels.
 
-- ``html_native.c`` is the production body of
-  ``html_extract.extract_html_fused``;
+- ``html_native.c`` is the production HTML engine,
+  ``html_extract.extract_html_fused``; its oracle is
+  ``html_extract.extract_html_with_title``;
 - ``pdf_native.c`` decodes a synthetic PDF's glyph payload and lays the
-  page out: the production body of ``payloads.decode_pdf_glyphs`` +
-  ``pdf_layout.parse_pdf_layout``;
+  page out; its oracle is ``payloads.decode_pdf_glyphs`` +
+  ``pdf_layout.parse_pdf_layout``, which also run every PDF row it
+  declines;
 - ``extract_native.c`` runs both over a whole Stage-A batch in one call
   (``NativeKernel.extract_batch``, used by ``extract.ExtractActor``): the
   payload column's Arrow buffers in, each row's payload kind (when not
   given), text, title, block count, status, ``is_blank`` and SHA-256
   (written out in C, with SHA-NI where the CPU has it) back, with the rows
-  it leaves to the per-row Python path flagged.
+  it leaves to the per-row Python path flagged.  It is the only way into
+  the PDF kernel.
 
 ``native.h`` declares what the three share.  They compile into one shared
 library, once per host, on first use; cffi opens it in ABI mode.  One
@@ -26,7 +29,7 @@ Each build writes a temporary file in the cache directory and
 ``os.replace``-s it into place, so processes that build at the same time
 cannot see a half-written library.  When there is no compiler or the
 cache cannot be written, ``load()`` logs one warning and returns ``None``;
-the callers then run the Python engines.
+the callers then run the oracles.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ import logging
 import os
 import re
 import shutil
-import struct
 import subprocess
 import sysconfig
 import tempfile
@@ -66,21 +68,6 @@ int hx_extract(const char *doc, size_t n, int64_t min_len, int64_t max_link_pct,
 void hx_free(hx_result *res);
 
 typedef struct {
-    int32_t x, y, w, h;
-    uint32_t off, len;
-} px_glyph;
-typedef struct {
-    px_glyph *glyphs;
-    int64_t n_glyphs;
-    char *chars;
-    char *text;
-    size_t text_len;
-    int64_t n_blocks;
-} px_page;
-int px_extract(const char *body, size_t n, px_page *page);
-void px_free(px_page *page);
-
-typedef struct {
     char *text;
     size_t text_len;
     char *title;
@@ -94,7 +81,6 @@ void xb_free(void *p);
 void xb_sha256_hex(const char *s, size_t n, char *hex);
 void xb_sha256_hex_portable(const char *s, size_t n, char *hex);
 """
-_PX_DECLINED = 1
 # extract_native.c's status codes
 BATCH_STATUSES = ("ok", "blank", "error")
 _I64 = 2**63
@@ -158,29 +144,18 @@ def _data_tables() -> str:
 
 
 def _unicode_tables() -> str:
-    """str.isspace, regex \\w and the non-ASCII code points re.IGNORECASE
-    matches to ASCII letters, from this Python's Unicode database.  Slow
-    (~0.5 s), so it runs only when building; the cache key carries
+    """str.isspace and the non-ASCII code points re.IGNORECASE matches to
+    ASCII letters, from this Python's Unicode database.  Slow (~0.5 s), so
+    it runs only when building; the cache key carries
     ``unicodedata.unidata_version`` instead."""
     everything = "".join(map(chr, range(0x110000)))
     spaces = [ord(c) for c in everything if c.isspace()]
-    word = [ord(c) for c in re.findall(r"\w", everything)]
-    ascii_class = [(1 if c in spaces else 0) | (2 if c in word[:128] else 0) for c in range(128)]
-    ranges: list[list[int]] = []
-    for cp in word:
-        if cp < 128:
-            continue
-        if ranges and ranges[-1][1] == cp - 1:
-            ranges[-1][1] = cp
-        else:
-            ranges.append([cp, cp])
     folds = [(ord(c), letter) for letter in "abcdefghijklmnopqrstuvwxyz"
              for c in re.findall(letter, everything, re.IGNORECASE) if ord(c) >= 128]
     return "".join([
-        "static const unsigned char HX_ASCII[128] = {" + ",".join(map(str, ascii_class)) + "};\n",
+        "static const unsigned char HX_ASCII_SPACE[128] = {"
+        + ",".join("1" if chr(c).isspace() else "0" for c in range(128)) + "};\n",
         _c_u32("HX_SPACES", [c for c in spaces if c >= 128]),
-        "static const hx_range HX_WORD[] = {" + ",".join(f"{{{a}u,{b}u}}" for a, b in ranges) + "};\n",
-        f"#define HX_N_WORD {len(ranges)}u\n",
         "static const hx_fold HX_FOLDS[] = {" + ",".join(f"{{{cp}u,'{ch}'}}" for cp, ch in folds) + "};\n",
         f"#define HX_N_FOLDS {len(folds)}u\n",
     ])
@@ -247,39 +222,6 @@ def _intact(so_path: str) -> bool:
     return len(data) > 32 and hashlib.sha256(data[:-32]).digest() == data[-32:]
 
 
-class GlyphPage:
-    """One page decoded and laid out by ``pdf_native.c``: its glyph boxes
-    stay in C, ``text`` and ``n_blocks`` are the layout's result.  It has
-    the length of, iterates as and compares equal to the list of
-    ``(x, y, w, h, ch)`` tuples ``payloads.decode_pdf_glyphs_py`` returns."""
-
-    __slots__ = ("_ffi", "_page", "text", "n_blocks")
-
-    def __init__(self, ffi, page) -> None:
-        self._ffi = ffi
-        self._page = page
-        self.text = ffi.unpack(page.text, page.text_len).decode("utf-8")
-        self.n_blocks = page.n_blocks
-
-    def __len__(self) -> int:
-        return self._page.n_glyphs
-
-    def __iter__(self):
-        ffi, page = self._ffi, self._page
-        if not page.n_glyphs:
-            return iter(())
-        boxes = list(struct.iter_unpack(
-            "=4i2I", ffi.buffer(page.glyphs, page.n_glyphs * ffi.sizeof("px_glyph"))))
-        chars = ffi.unpack(page.chars, boxes[-1][4] + boxes[-1][5])  # in glyph order
-        return ((x, y, w, h, chars[off:off + n].decode("utf-8")) for x, y, w, h, off, n in boxes)
-
-    def __eq__(self, other) -> bool:
-        return list(self) == other
-
-    def __repr__(self) -> str:
-        return f"GlyphPage({list(self)!r})"
-
-
 class BatchResult:
     """The outputs of one ``NativeKernel.extract_batch`` call: per-row
     numpy arrays the caller fills in for the flagged rows, and the text and
@@ -298,8 +240,8 @@ class BatchResult:
 
 
 class NativeKernel:
-    """The compiled library.  Calling it runs the HTML kernel, like
-    ``extract_html_fused``; ``pdf_page`` runs the PDF kernel."""
+    """The compiled library.  Calling it runs the HTML kernel on one page,
+    like ``extract_html_fused``; ``extract_batch`` runs a whole batch."""
 
     def __init__(self, so_path: str) -> None:
         self._ffi = ffi = cffi.FFI()
@@ -321,18 +263,6 @@ class NativeKernel:
             return text, res.n_kept, title
         finally:
             lib.hx_free(res)
-
-    def pdf_page(self, payload: bytes, start: int) -> GlyphPage | None:
-        """Decode and lay out the glyph JSON at ``payload[start:]``, or
-        ``None`` when the kernel declines it (see pdf_native.c)."""
-        ffi, lib = self._ffi, self._lib
-        page = ffi.gc(ffi.new("px_page *"), lib.px_free)
-        rc = lib.px_extract(ffi.from_buffer(payload) + start, len(payload) - start, page)
-        if rc == _PX_DECLINED:
-            return None
-        if rc != 0:
-            raise MemoryError("native: out of memory")
-        return GlyphPage(ffi, page)
 
     def extract_batch(self, html: pa.LargeBinaryArray, kinds: np.ndarray, min_len: np.ndarray,
                       max_link_pct: np.ndarray) -> BatchResult:
@@ -421,5 +351,5 @@ def load() -> NativeKernel | None:
         return open_kernel(cache_dir())
     except Exception as exc:  # extraction must not fail because of the build
         detail = getattr(exc, "stderr", None) or exc
-        log.warning("native: kernels unavailable, using the Python engines: %s", detail)
+        log.warning("native: kernels unavailable, using the oracles: %s", detail)
         return None

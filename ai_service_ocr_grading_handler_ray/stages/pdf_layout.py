@@ -9,12 +9,10 @@ math-page OCR stage (margin-step reordering demanded at
 ``gen_ai_calling.py:236`` becomes the XY-cut reading-order policy,
 SURVEY.md §2.6).
 
-Engines: ``payloads.decode_pdf_glyphs`` hands over a ``native.GlyphPage``
-when the native kernel (``pdf_native.c``) decoded the payload; that
-kernel has already run this layout in C, and ``parse_pdf_layout`` returns
-its result.  On any other glyph sequence the Python code below runs: it
-is the oracle the kernel is tested against and the fallback where the
-kernel cannot be built or declines the payload.
+Engines: the native kernel (``pdf_native.c``) decodes and lays out each
+PDF row inside the Stage-A batch call (``extract_native.c``).  The Python
+code below, fed by ``payloads.decode_pdf_glyphs``, is its oracle and runs
+every row the kernel declines, and every row where it cannot be built.
 
 Deterministic: integer coordinates, integer gap thresholds, explicit
 tie-breaks (largest gap, then the earliest; y before x on equal gaps).
@@ -30,8 +28,6 @@ y gap), is O(n^2).
 """
 
 from __future__ import annotations
-
-from .native import GlyphPage
 
 Glyph = tuple[int, int, int, int, str]  # (x, y, w, h, ch)
 
@@ -143,14 +139,11 @@ def block_to_text(block: list[Glyph]) -> str:
     return "\n".join(out_lines)
 
 
-def parse_pdf_layout(glyphs: list[Glyph] | GlyphPage) -> tuple[str, int]:
+def parse_pdf_layout(glyphs: list[Glyph]) -> tuple[str, int]:
     """Full parse: XY-cut → per-block line assembly → reading-order join.
 
     Returns ``(text, n_blocks)``; non-empty blocks joined by blank lines.
-    A ``GlyphPage`` carries the native kernel's result of this parse.
     """
-    if isinstance(glyphs, GlyphPage):
-        return glyphs.text, glyphs.n_blocks
     blocks = xy_cut_blocks(glyphs)
     texts = [block_to_text(b) for b in blocks]
     texts = [t for t in texts if t]

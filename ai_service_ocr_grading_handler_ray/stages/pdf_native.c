@@ -2,17 +2,19 @@
  *
  * One call goes from the glyph-JSON body of a synthetic PDF payload to the
  * page's reading-order text: a strict JSON-subset decoder, an iterative
- * XY-cut, then line assembly.  The output is byte-identical to
- * payloads.decode_pdf_glyphs_py followed by pdf_layout.parse_pdf_layout.
+ * XY-cut, then line assembly.  The output is byte-identical to its oracle,
+ * payloads.decode_pdf_glyphs followed by pdf_layout.parse_pdf_layout.
+ * Only xb_extract (extract_native.c) calls it.
  *
  * The decoder accepts only [[int,int,int,int,"str"],...]: JSON whitespace,
  * integers in [0, 2^30) without sign, fraction or exponent, valid UTF-8,
  * the standard escapes with \uXXXX surrogate pairs combined.  Anything
  * else (floats, bools, negatives, big ints, other arities or types, lone
- * surrogates, raw control characters, trailing data) is declined, and the
- * caller runs the Python decoder and layout on it instead.  Coordinates
- * below 2^30 keep every end (x + w, y + h) within int32, and non-negative
- * boxes make both sides of every cut non-empty.
+ * surrogates, raw control characters, trailing data) is declined:
+ * xb_extract flags the row, and the caller runs the Python decoder and
+ * layout on it instead.  Coordinates below 2^30 keep every end (x + w,
+ * y + h) within int32, and non-negative boxes make both sides of every
+ * cut non-empty.
  *
  * The layout follows pdf_layout.py rule for rule.  The page is sorted once
  * by (y, x) and once by (x, y), both stably (LSD radix, linear in n); a

@@ -15,11 +15,13 @@ from ai_service_ocr_grading_handler_ray.payloads import (
     GLYPH_MARKER,
     PDF_MAGIC,
     PNG_MAGIC,
+    decode_pdf_glyphs,
     encode_image_text,
     encode_pdf_glyphs,
     layout_text_as_glyphs,
 )
 from ai_service_ocr_grading_handler_ray.schema import EXTRACTED_SCHEMA
+from ai_service_ocr_grading_handler_ray.stages import extract as extract_mod
 from ai_service_ocr_grading_handler_ray.stages import native
 from ai_service_ocr_grading_handler_ray.stages.classify import KINDS, classify_payload_kind
 from ai_service_ocr_grading_handler_ray.stages.extract import ExtractActor
@@ -170,17 +172,22 @@ def test_the_sniff_edges():
 
 
 def test_declined_pdf_rows_are_decoded_once(monkeypatch):
-    """A PDF row the batch kernel declines goes to the Python decoder, not
-    back through the PDF kernel; the output is the per-row path's."""
+    """A PDF row the batch kernel declines is flagged and decoded once, by
+    the Python decoder; the output is the per-row path's."""
     _kernel()
     declined = [HEAD + b'[[0,0,6,10,"\\ud800"]]', HEAD + b"[[0.5,0,6,10,\"a\"]]"]
     rs = [(p, "en", None) for p in [*declined, f"<p>{PAD}</p>".encode(), *declined]]
     batch = _batch(rs)
     want = per_row(batch)
     calls = []
-    monkeypatch.setattr(native.NativeKernel, "pdf_page", lambda *a: calls.append(a))
+
+    def decode(payload):
+        calls.append(payload)
+        return decode_pdf_glyphs(payload)
+
+    monkeypatch.setattr(extract_mod, "decode_pdf_glyphs", decode)
     got = ExtractActor()(batch)
-    assert calls == []
+    assert calls == [*declined, *declined]
     assert got.equals(want)
     assert got["status"].to_pylist() == ["error", "ok", "ok", "error", "ok"]
 

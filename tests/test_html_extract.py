@@ -73,16 +73,12 @@ def test_deterministic():
 
 
 def test_native_engine_equivalent_on_corpus():
-    """The production engine (native kernel) and its Python fallback must
-    produce byte-identical output to the stdlib html.parser oracle over
-    every synthetic html page."""
+    """The production engine (native kernel) must produce byte-identical
+    output to the oracle over every synthetic html page."""
     import pyarrow.parquet as pq
 
     from ai_service_ocr_grading_handler_ray.stages.classify import classify_payload_kind
-    from ai_service_ocr_grading_handler_ray.stages.html_extract import (
-        extract_html_fused,
-        extract_html_fused_py,
-    )
+    from ai_service_ocr_grading_handler_ray.stages.html_extract import extract_html_fused
     from ai_service_ocr_grading_handler_ray.synth import docs_to_pages
 
     docs = pq.read_table("/root/testdata/sf0.001/documents.parquet")
@@ -90,9 +86,7 @@ def test_native_engine_equivalent_on_corpus():
     n = 0
     for payload, kind in zip(pages["html"].to_pylist(), pages["payload_kind"].to_pylist()):
         if kind == "html":
-            ref = extract_html_with_title(payload)
-            assert extract_html_fused(payload) == ref
-            assert extract_html_fused_py(payload) == ref
+            assert extract_html_fused(payload) == extract_html_with_title(payload)
             n += 1
     assert n > 390
 
@@ -117,14 +111,10 @@ def test_native_engine_handles_tricky_html():
 
 
 def test_fused_engine_equivalent_on_tricky_fragments():
-    """The native kernel and its Python fallback must match the stdlib
-    oracle on structurally nasty fragments: self-closing blocks, raw-text
-    elements, uppercase tags, unterminated script, boilerplate-attr inline
-    tags."""
-    from ai_service_ocr_grading_handler_ray.stages.html_extract import (
-        extract_html_fused,
-        extract_html_fused_py,
-    )
+    """The native kernel must match the oracle on structurally nasty
+    fragments: self-closing blocks, raw-text elements, uppercase tags,
+    unterminated script, boilerplate-attr inline tags."""
+    from ai_service_ocr_grading_handler_ray.stages.html_extract import extract_html_fused
 
     frags = [
         '<div class="ad"/><p>Self closing block tags here with enough text to pass easily.</p>',
@@ -141,6 +131,4 @@ def test_fused_engine_equivalent_on_tricky_fragments():
         '<span id="social-share">x</span><p>An inline boiler attr marks the whole current block as boiler.</p>',
     ]
     for f in frags:
-        ref = extract_html_with_title(f)
-        assert extract_html_fused(f) == ref, f[:60]
-        assert extract_html_fused_py(f) == ref, f[:60]
+        assert extract_html_fused(f) == extract_html_with_title(f), f[:60]

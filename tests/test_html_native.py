@@ -1,7 +1,8 @@
-"""Native HTML kernel (stages/html_native.c): equality with the Python
-fused engine on Unicode and regex edge cases, near-linear cost on large
-and adversarial pages, and the build: warnings as errors, a sanitizer
-run, no silent fallback, a forced fallback and a corrupt cache."""
+"""Native HTML kernel (stages/html_native.c): equality with the oracle
+(``extract_html_with_title``) on Unicode and tokenizer edge cases,
+near-linear cost on large and adversarial pages, and the build: warnings
+as errors, a sanitizer run, no silent fallback, a forced fallback (to the
+oracle) and a corrupt cache."""
 
 import os
 import subprocess
@@ -16,12 +17,12 @@ from ai_service_ocr_grading_handler_ray.stages import native as html_native
 from ai_service_ocr_grading_handler_ray.stages.html_extract import (
     _EVENT_TAGS,
     extract_html_fused,
-    extract_html_fused_py,
+    extract_html_with_title,
 )
 
 PAD = "enough words in this paragraph to pass the length rule"
 
-# --- Unicode and regex edge cases: native == Python fused --------------------
+# --- Unicode and tokenizer edge cases: native == oracle ----------------------
 
 SPACES = [chr(c) for c in range(0x110000) if chr(c).isspace()]
 
@@ -29,7 +30,8 @@ EDGE_CASES = [
     # every str.isspace code point, inside a block and as the only content
     *(f"<p>a{s}{PAD}{s}b{s}</p><p>{s}</p><title>{s}t{s}{s}u{s}</title>" for s in SPACES),
     "<p>" + "".join(SPACES) + PAD + "".join(SPACES) + "</p>",
-    # code points re.IGNORECASE folds onto ASCII letters
+    # code points re.IGNORECASE folds onto ASCII letters: they fold in
+    # boilerplate values, not in attribute names or end tags
     f'<div class="ſidebar"><p>{PAD}</p></div><p>{PAD} kept</p>',
     f'<div class="Sİdebar"><p>{PAD}</p></div>',
     f'<div claſs="nav"><p>{PAD}</p></div>',
@@ -41,7 +43,7 @@ EDGE_CASES = [
     f"<title>T</tİtle><p>{PAD}</p>",
     f"<title>T</tıtle ><p>{PAD}</p>",
     f"<style>x</STYLE　><p>{PAD}</p>",
-    # \b in _ATTR_HINT and name boundaries in _ATTR_RE
+    # attribute names run to space, '/', '>' or '='; a repeated one is dropped
     f'<div data-id="nav"><p>{PAD}</p></div>',
     f'<div 5id="nav"><p>{PAD}</p></div>',
     f'<div éid="nav"><p>{PAD}</p></div>',
@@ -53,7 +55,7 @@ EDGE_CASES = [
     f'<p class=nav/>{PAD}',
     f'<p class="unterminated>{PAD}</p>',
     f"<p class='a\" id=\"nav'>{PAD}</p>",
-    # `$` before a final newline in the unterminated-comment branch
+    # comments, bogus comments and EOF inside markup
     f"<p>{PAD}<!-- never closed\n",
     f"<p>{PAD}<!-- never closed\n\n",
     f"<p>{PAD}<!--\n",
@@ -76,7 +78,7 @@ EDGE_CASES = [
     b"<div class=\"\xc5\xbfidebar\xff\"><p>" + PAD.encode() + b"</p></div>",
     b"\xed\xa0\x80<p>" + PAD.encode() + b"</p>",
     "<p>lone \ud800 surrogate " + PAD + "</p>",
-    # both sides of the all-ASCII attribute fast path
+    # attribute names in any ASCII case, spaced, and run into other characters
     f"<DIV ID = 'nav'><p>{PAD}</p></DIV><p>{PAD} kept</p>",
     f'<p data-id="nav">{PAD}</p><p xclass="nav">{PAD}</p><p Role="banner">{PAD}</p>',
     f"<p role\t=banner>{PAD}</p><p class\x1f=ad>{PAD}</p><p id\x0b= menu>{PAD}</p>",
@@ -89,18 +91,69 @@ EDGE_CASES = [
 @pytest.mark.parametrize("doc", EDGE_CASES, ids=range(len(EDGE_CASES)))
 def test_native_equals_python_on_edge_cases(doc):
     for min_len, max_link_pct in ((25, 33), (0, 100), (1, 0)):
-        assert extract_html_fused(doc, min_len, max_link_pct) == extract_html_fused_py(
+        assert extract_html_fused(doc, min_len, max_link_pct) == extract_html_with_title(
             doc, min_len, max_link_pct
         )
 
 
 def test_edge_cases_exercise_the_folds():
     """The fold cases above really change the result, so the equality
-    test would catch a kernel that ignored them."""
+    test would catch a kernel that got them wrong: a fold counts in a
+    boilerplate value, not in an end tag's name."""
     assert extract_html_fused(f'<div class="ſidebar"><p>{PAD}</p></div>')[1] == 0
     assert extract_html_fused(f'<div class="xidebar"><p>{PAD}</p></div>')[1] == 1
-    assert extract_html_fused(f"<script>x</ſcript><p>{PAD}</p>")[0] == PAD
+    assert extract_html_fused(f"<script>x</ſcript><p>{PAD}</p>")[0] == ""
     assert extract_html_fused(f"<p>{PAD} &notit;</p>")[0] == PAD + " ¬it;"
+
+
+# --- WHATWG decisions, each with its output from both engines -----------------
+
+WHATWG_CASES = [
+    # 1. <title> is RCDATA
+    ("<title><p>", ("", 0, "<p>")),
+    (f"<title><p><style></title>{PAD}", (PAD, 1, "<p><style>")),
+    ("<title>T &amp; U</TITLE>", ("", 0, "T & U")),
+    # 2. <textarea> is RCDATA, and its content is dropped
+    (f"<textarea>{PAD}", ("", 0, "")),
+    (f"<textarea><p>{PAD}</textarea><p>{PAD}", (PAD, 1, "")),
+    # 3. EOF inside a tag drops the partial tag
+    (f"{PAD}<p", (PAD, 1, "")),
+    (f"<p{PAD}", ("", 0, "")),
+    (f"<p>{PAD}<a href='x", (PAD, 1, "")),
+    # 4. raw text ends only at "</" + its own name in ASCII case + space, "/" or ">"
+    ("<script></ſcript><title>abc", ("", 0, "")),
+    (f"<script>x</ script><p>{PAD}", ("", 0, "")),
+    (f"<script>x</SCRIPT\n><p>{PAD}", (PAD, 1, "")),
+    (f"<script>x</scripts></script/><p>{PAD}", (PAD, 1, "")),
+    (f"<title>a</titles>{PAD}</title>", ("", 0, f"a</titles>{PAD}")),
+    (f"<textarea></textareas>{PAD}", ("", 0, "")),
+    # 5. "</" + a character that is not an ASCII letter opens a bogus comment
+    (f"</ſcript>{PAD}", (PAD, 1, "")),
+    (f"</ p>{PAD}</>", (PAD, 1, "")),
+    # 6. a tag name runs until space, "/" or ">"
+    (f"<p<DIV ID='sidebar'><div>{PAD}", (PAD, 1, "")),
+    # 7. an end tag with attributes closes its element
+    (f"<title>a</title x>{PAD}", (PAD, 1, "a")),
+    (f"<script>x</script foo='>'>{PAD}", (PAD, 1, "")),
+    # a self-closing flag does not stop raw text
+    (f"<script/>{PAD}", ("", 0, "")),
+    ("<title/>abc", ("", 0, "abc")),
+    # comments: "-->" or "--!>", and "<!-->" / "<!--->" close at once
+    (f"<!-->{PAD}", (PAD, 1, "")),
+    (f"<!--->{PAD}", (PAD, 1, "")),
+    (f"<!-- x --!>{PAD}", (PAD, 1, "")),
+    (f"<!-- x -- >{PAD}", ("", 0, "")),
+    # the first of a repeated attribute counts; values decode references
+    (f"<p class='x' CLASS='nav'>{PAD}", (PAD, 1, "")),
+    (f"<p class='&#110;av'>{PAD}", ("", 0, "")),
+    (f"<p class=nav/>{PAD}", (PAD, 1, "")),
+]
+
+
+@pytest.mark.parametrize("doc,want", WHATWG_CASES, ids=range(len(WHATWG_CASES)))
+def test_whatwg_decisions(doc, want):
+    assert extract_html_with_title(doc) == want
+    assert extract_html_fused(doc) == want
 
 
 # --- near-linear cost on large and adversarial pages ------------------------
@@ -180,7 +233,7 @@ def test_build_treats_warnings_as_errors():
 
 def test_compiler_present_means_native_engine():
     """A host with a compiler must run the native kernel: a silent
-    fallback to the Python engine would pass every equality test."""
+    fallback to the oracle would pass every equality test."""
     if html_native.compiler() is None:
         pytest.skip("no C compiler on this host")
     assert html_native.load() is not None
@@ -226,7 +279,7 @@ sys.path[:0] = [sys.argv[2], sys.argv[3]]
 import pyarrow as pa
 import pyarrow.parquet as pq
 from ai_service_ocr_grading_handler_ray.stages.classify import KINDS, classify_payload_kind
-from ai_service_ocr_grading_handler_ray.stages.html_extract import extract_html_fused_py
+from ai_service_ocr_grading_handler_ray.stages.html_extract import extract_html_with_title
 from ai_service_ocr_grading_handler_ray.stages.native import NativeKernel
 from ai_service_ocr_grading_handler_ray.synth import docs_to_pages
 from test_html_native import EDGE_CASES, adversarial
@@ -236,7 +289,7 @@ ffi, lib = kernel._ffi, kernel._lib
 pages = classify_payload_kind(docs_to_pages(pq.read_table(sys.argv[4])))
 html = [p for p, k in zip(pages["html"].to_pylist(), pages["payload_kind"].to_pylist()) if k == "html"]
 for doc in html + EDGE_CASES:
-    assert kernel(doc, 25, 33) == extract_html_fused_py(doc, 25, 33)
+    assert kernel(doc, 25, 33) == extract_html_with_title(doc, 25, 33)
 
 
 # bytes straight into C, in a buffer of exactly their size, so a read one

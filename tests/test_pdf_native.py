@@ -1,9 +1,11 @@
-"""Native PDF kernel (stages/pdf_native.c): equality with the Python glyph
-decode + XY-cut (the oracle) on random pages and on every input class the
-kernel declines, near-linear cost on a growing scan, a sanitizer run, no
-silent fallback, a forced fallback, and the two row failures it fixed (a
-lone-surrogate glyph failing its whole batch, a deep cut tree becoming
-an error row)."""
+"""Native PDF kernel (stages/pdf_native.c), reached through the Stage-A
+batch call on one-row batches: equality with the Python glyph decode +
+XY-cut (the oracle) on random pages, every input class the kernel
+declines (the batch flags the row and the Python path runs), generated
+glyph JSON in and out of the kernel's subset, near-linear cost on a
+growing scan, a sanitizer run, no silent fallback, a forced fallback, and
+the two row failures it fixed (a lone-surrogate glyph failing its whole
+batch, a deep cut tree becoming an error row)."""
 
 import json
 import os
@@ -11,6 +13,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pyarrow as pa
 import pytest
 from hypothesis import given, settings
@@ -20,23 +23,22 @@ from ai_service_ocr_grading_handler_ray.payloads import (
     GLYPH_MARKER,
     PDF_MAGIC,
     decode_pdf_glyphs,
-    decode_pdf_glyphs_py,
     encode_pdf_glyphs,
     layout_text_as_glyphs,
 )
-from ai_service_ocr_grading_handler_ray.stages import extract as extract_mod
 from ai_service_ocr_grading_handler_ray.stages import native
+from ai_service_ocr_grading_handler_ray.stages.classify import KINDS
 from ai_service_ocr_grading_handler_ray.stages.extract import ExtractActor
-from ai_service_ocr_grading_handler_ray.stages.native import GlyphPage
 from ai_service_ocr_grading_handler_ray.stages.pdf_layout import parse_pdf_layout
 
 HEAD = PDF_MAGIC + b"1.4\n" + GLYPH_MARKER
 
 
-def _run(fn, payload):
-    """``parse_pdf_layout(fn(payload))``, or the exception type it raises."""
+def _run(payload):
+    """The oracle: ``parse_pdf_layout(decode_pdf_glyphs(payload))``, or the
+    exception type it raises."""
     try:
-        return parse_pdf_layout(fn(payload))
+        return parse_pdf_layout(decode_pdf_glyphs(payload))
     except Exception as exc:  # the comparison is on the exception type
         return type(exc)
 
@@ -46,6 +48,15 @@ def _kernel():
     if kernel is None:
         pytest.skip("native kernel unavailable on this host")
     return kernel
+
+
+def _batch_row(payload):
+    """``(text, n_blocks)`` of one PDF row through ``extract_batch``, or
+    None when the kernel flags the row for the Python path."""
+    res = _kernel().extract_batch(pa.array([payload], pa.large_binary()),
+                                  np.array([KINDS.index("pdf")], np.int8),
+                                  np.zeros(1, np.int64), np.zeros(1, np.int64))
+    return None if res.flagged[0] else (res.text[0].as_py(), int(res.n_blocks[0]))
 
 
 # --- random pages: native == Python -----------------------------------------
@@ -67,14 +78,10 @@ pages = st.lists(glyph, max_size=60).flatmap(
 @given(pages, st.booleans())
 @settings(max_examples=400, deadline=None)
 def test_native_equals_python_on_random_pages(glyphs, ascii_json):
-    kernel = _kernel()
     body = json.dumps(glyphs, ensure_ascii=ascii_json, separators=(",", ":") if ascii_json else None)
     payload = HEAD + body.encode("utf-8")
-    page = decode_pdf_glyphs(payload)
-    assert isinstance(page, GlyphPage)  # accepted, not declined
-    assert page == glyphs and len(page) == len(glyphs)
-    assert kernel.pdf_page(payload, len(HEAD)) == decode_pdf_glyphs_py(payload)
-    assert parse_pdf_layout(page) == parse_pdf_layout(decode_pdf_glyphs_py(payload))
+    assert decode_pdf_glyphs(payload) == glyphs
+    assert _batch_row(payload) == parse_pdf_layout(glyphs)  # accepted, not flagged
 
 
 def _bands(n_lines, gap, xs, w=6, h=6):
@@ -92,12 +99,11 @@ def _bands(n_lines, gap, xs, w=6, h=6):
     layout_text_as_glyphs(" ".join(f"w{i}" for i in range(900)), columns=3, lines_per_col=7),
 ], ids=["y-run", "x-tie", "x-wins", "three-x", "x-run", "text", "three-columns"])
 def test_native_equals_python_on_cut_runs(glyphs):
-    _kernel()
     payload = encode_pdf_glyphs(glyphs)
-    assert _run(decode_pdf_glyphs, payload) == _run(decode_pdf_glyphs_py, payload)
+    assert _batch_row(payload) == _run(payload)
 
 
-# --- declined input: the Python path runs, same output or exception ----------
+# --- declined input: the row is flagged and the Python path runs -------------
 
 DECLINED = {
     "float": "[[1.0,2,3,4,\"a\"]]",
@@ -154,24 +160,21 @@ ACCEPTED = {
     ids=list(DECLINED) + list(DECLINED_BYTES),
 )
 def test_declined_input_runs_the_python_path(body):
-    kernel = _kernel()
     payload = HEAD + body
-    assert kernel.pdf_page(payload, len(HEAD)) is None
-    assert _run(decode_pdf_glyphs, payload) == _run(decode_pdf_glyphs_py, payload)
+    assert _batch_row(payload) is None
+    _assert_engines_agree([payload])
 
 
 @pytest.mark.parametrize("body", list(ACCEPTED.values()), ids=list(ACCEPTED))
 def test_accepted_edge_cases_equal_python(body):
-    _kernel()
     payload = HEAD + body.encode("utf-8")
-    assert isinstance(decode_pdf_glyphs(payload), GlyphPage)
-    assert decode_pdf_glyphs(payload) == decode_pdf_glyphs_py(payload)
-    assert _run(decode_pdf_glyphs, payload) == _run(decode_pdf_glyphs_py, payload)
+    assert _batch_row(payload) == _run(payload)
 
 
 def test_not_a_glyph_pdf_still_raises():
     for payload in (b"%PDF-1.7\nreal pdf bytes", b"<html>" + GLYPH_MARKER):
-        assert _run(decode_pdf_glyphs, payload) is ValueError
+        assert _run(payload) is ValueError
+        assert _batch_row(payload) is None
 
 
 # --- row failures ---------------------------------------------------------------
@@ -203,19 +206,92 @@ def test_deep_cut_tree_is_not_an_error_row():
     out = ExtractActor()(_pdf_batch([payload]))
     assert out["status"].to_pylist() == ["ok"]
     assert out["n_blocks"].to_pylist() == [1500]
-    python = parse_pdf_layout(decode_pdf_glyphs_py(payload))
+    python = _run(payload)
     assert python == ("\n\n".join(["x"] * 1500), 1500)
-    assert parse_pdf_layout(decode_pdf_glyphs(payload)) == python
+    assert _batch_row(payload) == python
 
 
 def test_stdlib_engine_runs_the_python_pdf_path(monkeypatch):
-    def production(_payload):
-        raise AssertionError("the oracle must not run the production decoder")
+    def production(*_args):
+        raise AssertionError("the oracle must not run the production kernel")
 
-    monkeypatch.setattr(extract_mod, "decode_pdf_glyphs", production)
+    monkeypatch.setattr(native.NativeKernel, "extract_batch", production)
     good = encode_pdf_glyphs(layout_text_as_glyphs("alpha beta"))
     out = ExtractActor(html_engine="stdlib")(_pdf_batch([good]))
     assert out["extracted_text"].to_pylist() == ["alpha beta"]
+
+
+def _assert_engines_agree(payloads):
+    """The production engine and the oracle give the same status, text and
+    digest on every row."""
+    batch = _pdf_batch(payloads)
+    fused, stdlib = ExtractActor()(batch), ExtractActor(html_engine="stdlib")(batch)
+    for column in ("status", "extracted_text", "content_sha256"):
+        assert fused[column].equals(stdlib[column]), column
+
+
+# --- generated glyph JSON, in and out of the kernel's subset ---------------------
+
+# (inside, outside) the subset: a coordinate, a glyph text, whitespace
+_COORDINATE = (
+    st.integers(0, 2**30 - 1).map(str),
+    st.one_of(
+        st.integers(2**30, 2**70).map(str),
+        st.integers(-(2**40), -1).map(str),
+        st.floats(allow_nan=False, allow_infinity=False).map(json.dumps),
+        *map(st.just, ["-0", "01", "1e2", "1E+2", "2.0", "true", "false", "null", '"1"', "[1]",
+                       "NaN", "Infinity"]),
+    ),
+)
+_GLYPH_TEXT = (
+    st.tuples(st.text(max_size=4).filter(lambda t: not any(0xD800 <= ord(c) < 0xE000 for c in t)),
+              st.booleans()).map(lambda a: json.dumps(a[0], ensure_ascii=a[1])),
+    st.sampled_from(['"\\ud800"', '"\\udc00x"', '"\\ud800\\u0041"', '"a\x01"', '"a\nb"',
+                     '"\\x41"', '"\\u41"', '"\ud800"', "5", "null", "1.5", "[]"]),
+)
+_SPACE = (
+    st.sampled_from(["", " ", "\n", "\t", "\r\n  "]),
+    st.sampled_from(["\x0b", "\x0c", "\xa0", "\u3000", "\ufeff"]),
+)
+_ARITY = (st.just(4), st.sampled_from([3, 5]))
+_TAIL = (_SPACE[0], st.sampled_from(["x", ",", "[]", "]"]))
+
+
+@st.composite
+def glyph_json(draw):
+    """A glyph JSON body and whether it is inside the kernel's subset:
+    ``[[int,int,int,int,"str"],…]`` with ints in [0, 2^30), JSON
+    whitespace, valid UTF-8 and no lone surrogate.  About half the bodies
+    have exactly one piece outside, so each class is checked alone."""
+    bad = draw(st.integers(0, 40)) if draw(st.booleans()) else -1
+    count = 0
+
+    def piece(pair):
+        nonlocal count
+        count += 1
+        return draw(pair[1 if count - 1 == bad else 0])
+
+    glyphs = []
+    for _ in range(draw(st.integers(0, 4))):
+        fields = [piece(_COORDINATE) for _ in range(piece(_ARITY))] + [piece(_GLYPH_TEXT)]
+        glyphs.append("[" + ",".join(piece(_SPACE) + f for f in fields) + "]")
+    body = "[" + ",".join(glyphs) + "]" + piece(_TAIL)
+    return body, not 0 <= bad < count
+
+
+@given(glyph_json())
+@settings(max_examples=400, deadline=None)
+def test_glyph_json_outside_the_subset_is_flagged(case):
+    """The kernel flags exactly the payloads outside its subset, and both
+    engines give the same rows on every payload."""
+    body, inside = case
+    payload = HEAD + body.encode("utf-8", "surrogatepass")
+    row = _batch_row(payload)
+    if inside:
+        assert row == _run(payload)
+    else:
+        assert row is None
+    _assert_engines_agree([payload])
 
 
 # --- cost, build and fallback ----------------------------------------------------
@@ -232,13 +308,12 @@ def _best_times(payloads, rounds=9):
     for _ in range(rounds):
         for i, payload in enumerate(payloads):
             t = time.perf_counter()
-            parse_pdf_layout(decode_pdf_glyphs(payload))
+            _batch_row(payload)
             best[i] = min(best[i], time.perf_counter() - t)
     return best
 
 
 def test_native_kernel_cost_is_near_linear():
-    _kernel()
     small, big = _scan(6_000), _scan(28_000)
     assert 28_000 < len(decode_pdf_glyphs(small)) < 32_000
     assert 135_000 < len(decode_pdf_glyphs(big)) < 145_000
@@ -251,22 +326,24 @@ def test_compiler_present_means_native_pdf_engine():
     fallback to the Python engine would pass every equality test."""
     if native.compiler() is None:
         pytest.skip("no C compiler on this host")
-    assert isinstance(decode_pdf_glyphs(_scan(100)), GlyphPage)
+    assert native.load() is not None
+    assert _batch_row(_scan(100)) is not None
 
 
 def test_forced_fallback_gives_identical_output(monkeypatch):
-    payloads = [_scan(500), encode_pdf_glyphs(_bands(60, 24, [0, 30])), HEAD + b"[]",
-                HEAD + ACCEPTED["escapes"].encode()]
-    produced = [parse_pdf_layout(decode_pdf_glyphs(p)) for p in payloads]
+    batch = _pdf_batch([_scan(500), encode_pdf_glyphs(_bands(60, 24, [0, 30])), HEAD + b"[]",
+                        HEAD + ACCEPTED["escapes"].encode()])
+    assert all(_batch_row(p) is not None for p in batch["html"].to_pylist())
+    produced = ExtractActor()(batch)
     monkeypatch.setattr(native, "load", lambda: None)
-    assert all(isinstance(decode_pdf_glyphs(p), list) for p in payloads)
-    assert [parse_pdf_layout(decode_pdf_glyphs(p)) for p in payloads] == produced
+    assert ExtractActor()(batch).equals(produced)
 
 
 _SANITIZED_RUN = r"""
 import json, random, sys
 sys.path[:0] = [sys.argv[2], sys.argv[3]]
-from ai_service_ocr_grading_handler_ray.payloads import PDF_MAGIC, decode_pdf_glyphs_py
+from ai_service_ocr_grading_handler_ray.payloads import PDF_MAGIC, decode_pdf_glyphs
+from ai_service_ocr_grading_handler_ray.stages.classify import KINDS
 from ai_service_ocr_grading_handler_ray.stages.native import NativeKernel
 from ai_service_ocr_grading_handler_ray.stages.pdf_layout import parse_pdf_layout
 from perfbench.gen import crawl_pages
@@ -274,20 +351,30 @@ from test_pdf_native import ACCEPTED, DECLINED, DECLINED_BYTES, HEAD, _bands
 
 kernel = NativeKernel(sys.argv[1])
 ffi, lib = kernel._ffi, kernel._lib
+PDF = KINDS.index("pdf")
+
+
+# one PDF row through the batch entry, every array in a buffer of exactly
+# its size, so a read one byte past the end hits a redzone
+def row_call(payload):
+    data = ffi.new(f"char[{len(payload)}]")
+    ffi.memmove(data, payload, len(payload))
+    out = ffi.new("xb_text *")
+    text_off, n_blocks, flagged = ffi.new("int64_t[2]"), ffi.new("int32_t[1]"), ffi.new("uint8_t[1]")
+    rc = lib.xb_extract(
+        ffi.new("int64_t[2]", [0, len(payload)]), data, 1, ffi.new("int8_t[1]", [PDF]),
+        ffi.new("int64_t[1]"), ffi.new("int64_t[1]"), text_off, ffi.new("int64_t[2]"), n_blocks,
+        ffi.new("int8_t[1]"), ffi.new("uint8_t[1]"), flagged, ffi.new("char[64]"), out)
+    assert rc == 0
+    text = ffi.unpack(out.text, text_off[1]).decode("utf-8")
+    lib.xb_free(out.text)
+    lib.xb_free(out.title)
+    return None if flagged[0] else (text, n_blocks[0])
+
+
 pdfs = [p for p in crawl_pages(7, 6000, "crawl_mix")["html"].to_pylist() if p.startswith(PDF_MAGIC)]
 for p in pdfs:
-    assert parse_pdf_layout(kernel.pdf_page(p, len(HEAD))) == parse_pdf_layout(decode_pdf_glyphs_py(p))
-
-
-# the body straight into C, in a buffer of exactly its size, so a read one
-# byte past the end hits a redzone
-def raw_call(raw):
-    buf = ffi.new(f"char[{len(raw)}]")
-    ffi.memmove(buf, raw, len(raw))
-    page = ffi.new("px_page *")
-    assert lib.px_extract(buf, len(raw), page) in (0, 1)
-    lib.px_free(page)
-
+    assert row_call(p) == parse_pdf_layout(decode_pdf_glyphs(p))
 
 bodies = [p[len(HEAD):] for p in pdfs]
 bodies += [b.encode("utf-8", "surrogatepass") for b in (*DECLINED.values(), *ACCEPTED.values())]
@@ -295,14 +382,14 @@ bodies += list(DECLINED_BYTES.values())
 bodies.append(json.dumps(_bands(1500, 24, [0, 30])).encode())
 for raw in bodies:
     for cut in range(0, len(raw), max(1, len(raw) // 7)):  # and ~7 prefixes of each
-        raw_call(raw[:cut])
-    raw_call(raw)
+        row_call(HEAD + raw[:cut])
+    row_call(HEAD + raw)
 rng = random.Random(0)
 alphabet = b'[],"\\u0123456789 ade\xc3\xa9\xed\xa0\x80\xf0\x9f\x98\x80\n'
 for _ in range(5000):
     raw = bytes(rng.choice(alphabet) for _ in range(rng.randrange(40)))
-    raw_call(rng.choice([b"", b"[", b"[[", b"[[1,2,3,4,\"", b"[[1,2,3,4,\"a\"],"]) + raw)
-    raw_call(bytes(rng.randrange(256) for _ in range(rng.randrange(40))))
+    row_call(HEAD + rng.choice([b"", b"[", b"[[", b"[[1,2,3,4,\"", b"[[1,2,3,4,\"a\"],"]) + raw)
+    row_call(HEAD + bytes(rng.randrange(256) for _ in range(rng.randrange(40))))
 print("sanitized run ok", len(pdfs))
 """
 

@@ -16,7 +16,7 @@ from ai_service_ocr_grading_handler_ray.payloads import (
 from ai_service_ocr_grading_handler_ray.stages.dedup import minhash_signature, ngram_jaccard
 from ai_service_ocr_grading_handler_ray.stages.html_extract import (
     extract_html_fused,
-    extract_html_fused_py,
+    extract_html_with_title,
 )
 from ai_service_ocr_grading_handler_ray.stages.pdf_layout import parse_pdf_layout
 
@@ -75,38 +75,48 @@ def test_minhash_signature_shape(text):
 @given(st.binary(max_size=2048))
 @settings(max_examples=200, deadline=None)
 def test_python_extractor_total_on_arbitrary_bytes(payload):
-    """The Python fallback engine never raises and is deterministic."""
-    a = extract_html_fused_py(payload)
-    assert a == extract_html_fused_py(payload)
+    """The oracle, which is also the fallback where the kernel cannot be
+    built, never raises and is deterministic."""
+    a = extract_html_with_title(payload)
+    assert a == extract_html_with_title(payload)
     assert isinstance(a[0], str) and a[1] >= 0
 
 
 @given(st.binary(max_size=2048))
 @settings(max_examples=200, deadline=None)
 def test_fused_extractor_total_and_equivalent_on_arbitrary_bytes(payload):
-    """The native kernel never raises on ANY bytes and matches its Python
-    fallback exactly (differential fuzz)."""
-    assert extract_html_fused(payload) == extract_html_fused_py(payload)
+    """The native kernel never raises on ANY bytes and matches the oracle
+    exactly (differential fuzz)."""
+    assert extract_html_fused(payload) == extract_html_with_title(payload)
 
 
 # markup-shaped fuzz: random tag soup exercises the state machines far
 # harder than raw bytes (which rarely parse as tags at all)
+TAG_SOUP_TOKENS = [
+    "<p>", "</p>", "<div>", "</div>", "<nav>", "</nav>", "<a href='x'>",
+    "</a>", "<br>", "<script>", "</script>", "<title>", "</title>",
+    "<textarea>", "</textarea>", "<span class='menu'>", "</span>",
+    "<DIV ID='sidebar'>", "<li/>", "<!-- c -->", "<head>", "</head>",
+    "<p", ">", "&amp;", "&lt;", "&notit;", "&#x110000;", "&nbsp",
+    "<div class='ſidebar'>", "</ſcript>", "\u3000", "\x85",
+    # attribute names: ASCII, spaced, tabbed and with folding letters
+    "<DIV ID = 'nav'>", '<p data-id="nav">', '<p xclass="nav">',
+    "<p role\t=banner>", '<p claſs="nav">', '<p ıd="menu">',
+    "enough words in this paragraph to pass the length rule",
+    # style, raw-text start tags (unclosed when no end tag follows)
+    "<style>", "</style>", "<STYLE>", "</Style >", "<TITLE x=1>", "<textarea/>", "<script src=x />",
+    # nested links and boilerplate attributes
+    "<a>", '<a href="y">', "</a >", "</A\tx=1>",
+    '<div class="nav">', "<p id='footer'>", "<span role=banner>", '<li class="ad promo">',
+    "<div class='x' CLASS='nav'>", "<p class=nav/>", "<p id='a&#32;menu'>", "<br/>",
+    # end tags with spaces or attributes, and stray markup characters
+    "</p >", "</div\t>", "</p x>", "</title x>", "</script foo='>'>", "</textarea >",
+    "</ p>", "</>", "</titles>", "</scripts>", "<", "</", "=", "'", '"', "<!--", "-->", "<!-->", "--!>",
+    "<!-- c --!>", "<!-- c -- >", "<!DOCTYPE html>", "<?x?>", "<![CDATA[x]]>",
+]
 _tag_soup = st.lists(
     st.one_of(
-        st.sampled_from(
-            [
-                "<p>", "</p>", "<div>", "</div>", "<nav>", "</nav>", "<a href='x'>",
-                "</a>", "<br>", "<script>", "</script>", "<title>", "</title>",
-                "<textarea>", "</textarea>", "<span class='menu'>", "</span>",
-                "<DIV ID='sidebar'>", "<li/>", "<!-- c -->", "<head>", "</head>",
-                "<p", ">", "&amp;", "&lt;", "&notit;", "&#x110000;", "&nbsp",
-                "<div class='ſidebar'>", "</ſcript>", "\u3000", "\x85",
-                # both sides of the kernel's all-ASCII attribute fast path
-                "<DIV ID = 'nav'>", '<p data-id="nav">', '<p xclass="nav">',
-                "<p role\t=banner>", '<p claſs="nav">', '<p ıd="menu">',
-                "enough words in this paragraph to pass the length rule",
-            ]
-        ),
+        st.sampled_from(TAG_SOUP_TOKENS),
         st.text(alphabet=string.ascii_lowercase + " ", min_size=1, max_size=24),
     ),
     min_size=0,
@@ -114,14 +124,12 @@ _tag_soup = st.lists(
 ).map("".join)
 
 
-@given(_tag_soup)
-@settings(max_examples=300, deadline=None)
-def test_fused_extractor_equivalent_on_tag_soup(doc):
-    """native == Python fallback on arbitrary tag soup.  The stdlib engine
-    is only corpus-equivalent: html.parser does not treat <title> as
-    RCDATA, so pathological unterminated titles ('<title><p>') differ
-    there — a documented html.parser limitation, not an engine bug."""
-    assert extract_html_fused(doc) == extract_html_fused_py(doc)
+@given(_tag_soup, st.sampled_from([(25, 33), (0, 100), (1, 0)]))
+@settings(max_examples=1000, deadline=None)
+def test_fused_extractor_equivalent_on_tag_soup(doc, thresholds):
+    """native == oracle on ``(text, n_blocks, title)`` over arbitrary tag
+    soup, at three threshold pairs."""
+    assert extract_html_fused(doc, *thresholds) == extract_html_with_title(doc, *thresholds)
 
 
 @given(
