@@ -3,23 +3,25 @@
 
     requests
       → map_batches(route)                  # gradingPrompt → alias → engine class
-      → map_batches(grade_extract_task)     # Stage A: answer from payload (by kind)
+      → map_batches(grade_extract_task)     # Stage A: inline answer, else the payload's text
       → map_batches(score_batch)            # Stage B: rubric scores + flags + sink shape
 
 Reference per-record boundary crossings (HTTPS per model call,
-service_handler.py:57 sequential loop) become per-batch in-process calls;
-the sink record shape (utils.py:114-125) is the output schema.
+service_handler.py:57 sequential loop) become per-batch in-process calls:
+Stage A is extraction's own ``extract_batch_task``, one native call per
+batch, with per-row Python only for the rows it flags (image answers:
+OCR).  The sink record shape (utils.py:114-125) is the output schema.
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data as rd
 
 from ..config import ENGINE_ALIASES, GRADING_PROMPT_TO_ALIAS
 from ..functions.textfns import MODEL_NOT_FOUND
-from ..stages.classify import classify_payload_kind
-from ..stages.extract import ExtractActor
+from ..stages.extract import extract_batch_task
 from ..stages.score import score_batch
 from ..synth import docs_to_grading_requests
 
@@ -39,33 +41,22 @@ def route_requests(batch: pa.Table) -> pa.Table:
     ).append_column("engine_class", pa.array(classes, type=pa.string()))
 
 
-# per-worker cached engine (workers persist across tasks → warm after the
-# first batch; same rationale as stages/extract.extract_batch_task)
-_TASK_GRADER: list[ExtractActor] = []
-
-
 def grade_extract_task(batch: pa.Table) -> pa.Table:
-    """Stage A over grading requests: answer text from inline field or
-    binary payload (html/pdf/image by magic sniff) — per-row dispatch on
-    the sniffed kind (SURVEY.md T1)."""
-    if not _TASK_GRADER:
-        _TASK_GRADER.append(ExtractActor())
-    extractor = _TASK_GRADER[0]
-    sniffed = classify_payload_kind(batch, column="student_answer_payload")
-    kinds = sniffed["payload_kind"].to_pylist()
-    inline = batch["student_answer"].to_pylist()
-    payloads = batch["student_answer_payload"]
-    answers: list[str] = []
-    for i, (kind, ans) in enumerate(zip(kinds, inline)):
-        if ans:  # text-only classes: inline answer wins (gen_ai_calling.py:174-182)
-            answers.append(ans)
-            continue
-        payload = payloads[i].as_py() or b""
-        text, _nb, _st, _title = extractor._extract_one(kind, payload)
-        answers.append(text)
-    return batch.append_column(
-        "extracted_answer", pa.array(answers, type=pa.large_string())
-    )
+    """Stage A over grading requests: the inline answer where there is one
+    (text-only classes, gen_ai_calling.py:174-182), else the text Stage A
+    extracts from the binary payload.  The payloads run through
+    ``extract_batch_task`` as a pages table (no url, timestamp or lang), so
+    one native call sniffs and extracts the whole batch (SURVEY.md T1)."""
+    n = len(batch)
+    pages = pa.table({
+        "url": pa.nulls(n, pa.string()),
+        "warc_ts": pa.nulls(n, pa.timestamp("us")),
+        "html": batch["student_answer_payload"],
+    })
+    extracted = extract_batch_task(pages)["extracted_text"]
+    inline = batch["student_answer"].cast(pa.large_string())
+    has_inline = pc.fill_null(pc.greater(pc.binary_length(inline), 0), False)
+    return batch.append_column("extracted_answer", pc.if_else(has_inline, inline, extracted))
 
 
 def build_grading_requests(sf_dir: str) -> rd.Dataset:
@@ -77,7 +68,7 @@ def build_grading_requests(sf_dir: str) -> rd.Dataset:
 
 def grade_requests(requests: rd.Dataset, *, batch_size: int = 256) -> rd.Dataset:
     """Full Stage A + Stage B over a grading-request dataset (lazy).
-    Stage A runs as stateless tasks with a per-worker cached engine."""
+    Stage A runs as stateless tasks with extraction's per-worker engine."""
     routed = requests.map_batches(route_requests, batch_format="pyarrow")
     extracted = routed.map_batches(
         grade_extract_task,

@@ -3982,15 +3982,13 @@ def q56_extraction_fidelity(sf_dir: str) -> pd.DataFrame:
     source document words verbatim (the extract-exactly invariant,
     gen_ai_calling.py:205; edge rows excluded)."""
     from ..synth import edge_bucket
-    from ..stages.classify import classify_payload_kind
     from ..stages.extract import extract_batch_task
     from .extract import build_pages_dataset
 
     pages = build_pages_dataset(sf_dir)
 
     def audit_full(batch: pa.Table) -> pa.Table:
-        t = classify_payload_kind(batch)
-        r = extract_batch_task(t)
+        r = extract_batch_task(batch)  # sniffs the kinds itself
         kinds, flags = [], []
         for k, s_, u, e, src in zip(
             r["payload_kind"].to_pylist(), r["status"].to_pylist(),

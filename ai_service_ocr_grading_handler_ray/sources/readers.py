@@ -168,14 +168,6 @@ def _pages_datasource(paths: str | list[str], include_paths: bool) -> PagesDatas
         return None
 
 
-def read_tasks(paths: str | list[str]) -> int | None:
-    """``PagesDatasource.read_tasks`` for ``paths``, or None when the
-    datasource cannot read them (Ray's own Parquet reader and split are
-    then used)."""
-    source = _pages_datasource(paths, False)
-    return source.read_tasks() if source is not None else None
-
-
 def _cpus() -> int:
     if ray.is_initialized():
         return int(ray.cluster_resources().get("CPU", 1))

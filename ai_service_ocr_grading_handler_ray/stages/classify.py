@@ -5,8 +5,8 @@ Instead of a per-row Python switch, one vectorized call sniffs magic bytes
 of the ``html`` binary column and emits a ``payload_kind`` column in
 {"html", "pdf", "image", "blank", "error"}.  Stage A's batch call
 (``extract.ExtractActor``) sniffs a batch that has no ``payload_kind``
-itself, inside the one ``map_batches`` of ``extract_pages``; grading
-calls this on its answer payloads.
+itself, in C, for extraction and grading alike; this is its oracle and the
+sniff of the per-row path (the stdlib twin, a host without a compiler).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ def single_array(column: pa.ChunkedArray | pa.Array) -> pa.Array:
     return column
 
 
-def classify_payload_kind(batch: pa.Table, column: str = "html") -> pa.Table:
+def classify_payload_kind(batch: pa.Table) -> pa.Table:
     """Append ``payload_kind`` derived from magic-byte sniffing.
 
     Fully vectorized (binary_slice + equal + case-when); never decodes the
@@ -39,7 +39,7 @@ def classify_payload_kind(batch: pa.Table, column: str = "html") -> pa.Table:
     production Stage A sniffs in C instead (``extract_native.c``); this is
     its oracle and the engine's sniff where the kernel is not built.
     """
-    b = single_array(batch[column])
+    b = single_array(batch["html"])
 
     empty = pc.equal(pc.binary_length(b), 0)
     is_pdf = pc.equal(pc.binary_slice(b, 0, len(PDF_MAGIC)), PDF_MAGIC)

@@ -4,9 +4,10 @@
 
 Stage A is ONE ``map_batches`` (``extract_batch_task``), fused with the
 ``ReadPages`` read and the write into one Ray Data operator on a grouped
-read (``pipelines.extract.extract_pages``).  A batch without a
-``payload_kind`` column has its kinds sniffed inside the same call; a
-batch that carries one keeps it.
+read (``pipelines.extract.extract_pages``).  Grading's Stage A
+(``pipelines.grading.grade_extract_task``) calls the same task on its
+answer payloads.  A batch without a ``payload_kind`` column has its kinds
+sniffed inside the same call; a batch that carries one keeps it.
 
 Where the native kernels are built (``native.load()``), the production
 engine makes ONE C call per batch (``extract_native.c``, through
@@ -15,11 +16,12 @@ buffers, sniffs each row's kind when the batch has none (as
 ``classify.classify_payload_kind`` does) and extracts every HTML and PDF
 row, with each row's status, ``is_blank`` and SHA-256 digest; its text and
 title buffers become the output columns without a per-row Python object.
-The rows it flags run through ``ExtractActor._extract_one`` and
-``sha256_hex`` instead: image rows (OCR), HTML that is not valid UTF-8
-(Python's ``errors="replace"`` decode is the one definition of its
-repair), and PDFs without the glyph marker or that the PDF kernel
-declines (the Python decoder and XY-cut).  The oracle engine
+The rows it flags, and only those, run per row in Python, through
+``ExtractActor._extract_one`` and ``sha256_hex``: image rows (OCR), HTML
+that is not valid UTF-8 (``extract_html_fused`` repairs it with Python's
+``errors="replace"`` decode, the one definition of the repair, and runs
+it as a one-row batch), and PDFs without the glyph marker or that the PDF
+kernel declines (the Python decoder and XY-cut).  The oracle engine
 (``html_engine="stdlib"``), and the production one on a host without a
 compiler, sniff with ``classify_payload_kind`` and run every row that
 way; the two differ only in the HTML engine.  The output

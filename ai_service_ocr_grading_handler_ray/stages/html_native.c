@@ -1,5 +1,7 @@
-/* Native main-content HTML extractor: the production body of
- * html_extract.extract_html_fused.
+/* Native main-content HTML extractor, hx_append: the production HTML
+ * engine.  Its only caller is xb_extract (extract_native.c), once per
+ * valid-UTF-8 HTML row of a batch; html_extract.extract_html_fused reaches
+ * it as a one-row batch.
  *
  * One pass over a UTF-8 page tokenizes it by the WHATWG rules that
  * html_extract.py's module docstring lists (RAWTEXT script/style, RCDATA
@@ -14,8 +16,8 @@
  *
  * The function is total: any byte string is accepted, every read is
  * bounded by the input length and every write goes through a growing
- * buffer.  Input that is not valid UTF-8 (the Python caller never passes
- * any) is read one byte per code point.
+ * buffer.  Input that is not valid UTF-8 (xb_extract flags such rows and
+ * never passes any) is read one byte per code point.
  *
  * html_native_tables.h is generated by native.py from the running
  * Python: the tag sets (sorted, with the range of each first letter) and
@@ -830,21 +832,6 @@ int64_t hx_append(const char *doc, size_t n, int64_t min_len, int64_t max_link_p
     return st.oom || text->oom || title->oom ? -1 : st.n_kept;
 }
 
-int hx_extract(const char *doc, size_t n, int64_t min_len, int64_t max_link_pct, hx_result *res)
-{
-    hx_buf text = {NULL, 0, 0, 0}, title = {NULL, 0, 0, 0};
-    int64_t kept;
-
-    hx_reserve(&title, 16);
-    kept = hx_append(doc, n, min_len, max_link_pct, &text, &title);
-    res->text = text.p;
-    res->text_len = text.len;
-    res->title = title.p;
-    res->title_len = title.len;
-    res->n_kept = kept < 0 ? 0 : kept;
-    return kept < 0 ? -1 : 0;
-}
-
 int hx_blank(const char *s, size_t n)
 {
     const unsigned char *u = (const unsigned char *)s;
@@ -857,12 +844,4 @@ int hx_blank(const char *s, size_t n)
         i += l;
     }
     return 1;
-}
-
-void hx_free(hx_result *res)
-{
-    free(res->text);
-    free(res->title);
-    res->text = res->title = NULL;
-    res->text_len = res->title_len = 0;
 }

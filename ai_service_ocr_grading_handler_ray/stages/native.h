@@ -17,17 +17,6 @@
 /* A growing output buffer; `oom` sticks once an allocation failed. */
 typedef struct { char *p; size_t len, cap; int oom; } hx_buf;
 
-typedef struct {
-    char *text;
-    size_t text_len;
-    char *title;
-    size_t title_len;
-    int64_t n_kept;
-} hx_result;
-
-int hx_extract(const char *doc, size_t n, int64_t min_len, int64_t max_link_pct, hx_result *res);
-void hx_free(hx_result *res);
-
 NATIVE_INTERNAL int hx_reserve(hx_buf *b, size_t extra);
 NATIVE_INTERNAL void hx_put(hx_buf *b, const void *s, size_t n);
 /* Append one page's text and title to `text` and `title`; returns the

@@ -1,19 +1,21 @@
 """Build, cache and open the native kernels.
 
-- ``html_native.c`` is the production HTML engine,
-  ``html_extract.extract_html_fused``; its oracle is
+- ``html_native.c`` is the production HTML engine; its oracle is
   ``html_extract.extract_html_with_title``;
 - ``pdf_native.c`` decodes a synthetic PDF's glyph payload and lays the
   page out; its oracle is ``payloads.decode_pdf_glyphs`` +
   ``pdf_layout.parse_pdf_layout``, which also run every PDF row it
   declines;
 - ``extract_native.c`` runs both over a whole Stage-A batch in one call
-  (``NativeKernel.extract_batch``, used by ``extract.ExtractActor``): the
-  payload column's Arrow buffers in, each row's payload kind (when not
-  given), text, title, block count, status, ``is_blank`` and SHA-256
-  (written out in C, with SHA-NI where the CPU has it) back, with the rows
-  it leaves to the per-row Python path flagged.  It is the only way into
-  the PDF kernel.
+  (``NativeKernel.extract_batch``): the payload column's Arrow buffers
+  in, each row's payload kind (when not given), text, title, block count,
+  status, ``is_blank`` and SHA-256 (written out in C, with SHA-NI where
+  the CPU has it) back, with the rows it leaves to the per-row Python path
+  flagged.
+
+``extract_batch`` is the only way into either kernel: ``extract.
+ExtractActor`` calls it once per batch (extraction and grading Stage A
+alike), and ``html_extract.extract_html_fused`` as a one-row batch.
 
 ``native.h`` declares what the three share.  They compile into one shared
 library, once per host, on first use; cffi opens it in ABI mode.  One
@@ -29,11 +31,15 @@ Each build writes a temporary file in the cache directory and
 ``os.replace``-s it into place, so processes that build at the same time
 cannot see a half-written library.  When there is no compiler or the
 cache cannot be written, ``load()`` logs one warning and returns ``None``;
-the callers then run the oracles.
+the callers then run the oracles.  After a build only the
+``KEEP_LIBRARIES`` most recently used libraries stay in the directory (a
+load refreshes its library's mtime), so superseded builds do not pile up.
 """
 
 from __future__ import annotations
 
+import contextlib
+import fnmatch
 import functools
 import hashlib
 import html
@@ -62,16 +68,6 @@ typedef struct {
     size_t text_len;
     char *title;
     size_t title_len;
-    int64_t n_kept;
-} hx_result;
-int hx_extract(const char *doc, size_t n, int64_t min_len, int64_t max_link_pct, hx_result *res);
-void hx_free(hx_result *res);
-
-typedef struct {
-    char *text;
-    size_t text_len;
-    char *title;
-    size_t title_len;
 } xb_text;
 int xb_extract(const int64_t *offsets, const char *data, int64_t n, int8_t *kinds,
                const int64_t *min_len, const int64_t *max_link_pct, int64_t *text_off,
@@ -84,6 +80,8 @@ void xb_sha256_hex_portable(const char *s, size_t n, char *hex);
 # extract_native.c's status codes
 BATCH_STATUSES = ("ok", "blank", "error")
 _I64 = 2**63
+# libraries a build leaves in the cache directory, the most recently used
+KEEP_LIBRARIES = 4
 
 log = logging.getLogger(__name__)
 
@@ -240,29 +238,12 @@ class BatchResult:
 
 
 class NativeKernel:
-    """The compiled library.  Calling it runs the HTML kernel on one page,
-    like ``extract_html_fused``; ``extract_batch`` runs a whole batch."""
+    """The compiled library: ``extract_batch`` runs a whole batch."""
 
     def __init__(self, so_path: str) -> None:
         self._ffi = ffi = cffi.FFI()
         ffi.cdef(_CDEF)
         self._lib = ffi.dlopen(so_path)
-
-    def __call__(self, payload: bytes | str, min_len: int, max_link_pct: int) -> tuple[str, int, str]:
-        if isinstance(payload, bytes):
-            buf = payload.decode("utf-8", errors="replace").encode("utf-8")
-        else:
-            buf = payload.encode("utf-8", errors="surrogatepass")
-        ffi, lib = self._ffi, self._lib
-        res = ffi.new("hx_result *")
-        try:
-            if lib.hx_extract(buf, len(buf), min_len, max_link_pct, res) != 0:
-                raise MemoryError("native: out of memory")
-            text = ffi.unpack(res.text, res.text_len).decode("utf-8", errors="surrogatepass")
-            title = ffi.unpack(res.title, res.title_len).decode("utf-8", errors="surrogatepass")
-            return text, res.n_kept, title
-        finally:
-            lib.hx_free(res)
 
     def extract_batch(self, html: pa.LargeBinaryArray, kinds: np.ndarray, min_len: np.ndarray,
                       max_link_pct: np.ndarray) -> BatchResult:
@@ -335,12 +316,31 @@ def open_kernel(directory: str) -> NativeKernel:
     path = library_path(directory, cc)
     if _intact(path):
         try:
-            return NativeKernel(path)
+            kernel = NativeKernel(path)
         except OSError:
             log.warning("native: rebuilding unloadable %s", path)
+        else:
+            with contextlib.suppress(OSError):  # mark it used, for prune
+                os.utime(path)
+            return kernel
     os.makedirs(directory, exist_ok=True)
     build(path, cc)
+    prune(directory)
     return NativeKernel(path)
+
+
+def prune(directory: str) -> None:
+    """Delete the ``native-*.so`` libraries in ``directory`` except the
+    ``KEEP_LIBRARIES`` most recently used (by mtime).  A process that has
+    one of them open keeps its mapping."""
+    libraries = []
+    for entry in os.scandir(directory):
+        if fnmatch.fnmatch(entry.name, "native-*.so"):
+            with contextlib.suppress(OSError):  # removed meanwhile
+                libraries.append((entry.stat().st_mtime_ns, entry.path))
+    for _, path in sorted(libraries, reverse=True)[KEEP_LIBRARIES:]:
+        with contextlib.suppress(OSError):
+            os.remove(path)
 
 
 @functools.cache

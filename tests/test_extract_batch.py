@@ -1,6 +1,7 @@
 """Native Stage-A batch (stages/extract_native.c): one call per batch gives
-the same table as the per-row path on mixed batches, its payload-kind sniff
-equals ``classify_payload_kind``, and its hand-written SHA-256 (SHA-NI and
+the same table as the oracle engine (``ExtractActor(html_engine="stdlib")``,
+per row) on mixed batches, its payload-kind sniff equals
+``classify_payload_kind``, and its hand-written SHA-256 (SHA-NI and
 portable) equals hashlib's."""
 
 import hashlib
@@ -38,10 +39,9 @@ def _kernel():
 
 
 def per_row(batch: pa.Table) -> pa.Table:
-    """``ExtractActor()(batch)`` with every row through ``_extract_one``."""
-    engine = ExtractActor()
-    engine._extract_native = lambda _kernel, b: engine._extract_rows(b)
-    return engine(batch)
+    """The oracle engine: every row through ``_extract_one``, HTML by
+    ``extract_html_with_title``, PDF by the Python decoder and XY-cut."""
+    return ExtractActor(html_engine="stdlib")(batch)
 
 
 def assert_same_as_per_row(batch: pa.Table) -> pa.Table:
@@ -54,7 +54,7 @@ def assert_same_as_per_row(batch: pa.Table) -> pa.Table:
     return got
 
 
-# --- mixed batches: batch path == per-row path --------------------------------
+# --- mixed batches: batch path == oracle engine --------------------------------
 
 html_pages = st.one_of(
     st.sampled_from([
@@ -148,9 +148,9 @@ def test_batch_equals_per_row_on_mixed_batches(rs, lang, path, cut):
 @settings(max_examples=150, deadline=None)
 def test_sniff_equals_classify(rs, lang, cut):
     """A batch without ``payload_kind``: the kernel's sniff gives
-    ``classify_payload_kind``'s kinds, and the output equals the per-row
-    path's (which classifies first) and the output of the batch classified
-    beforehand."""
+    ``classify_payload_kind``'s kinds, and the output equals the oracle
+    engine's (which classifies first) and the output of the batch
+    classified beforehand."""
     batch = _batch(rs, lang=lang, kind=False)
     assert "payload_kind" not in batch.column_names
     for b in (batch, batch.slice(min(cut, len(batch)))):
@@ -173,7 +173,7 @@ def test_the_sniff_edges():
 
 def test_declined_pdf_rows_are_decoded_once(monkeypatch):
     """A PDF row the batch kernel declines is flagged and decoded once, by
-    the Python decoder; the output is the per-row path's."""
+    the Python decoder; the output is the oracle engine's."""
     _kernel()
     declined = [HEAD + b'[[0,0,6,10,"\\ud800"]]', HEAD + b"[[0.5,0,6,10,\"a\"]]"]
     rs = [(p, "en", None) for p in [*declined, f"<p>{PAD}</p>".encode(), *declined]]

@@ -4,12 +4,16 @@ invariants, flags, sink record shape."""
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import pytest
 import ray
 
-from ai_service_ocr_grading_handler_ray.pipelines.grading import grading_pipeline
+from ai_service_ocr_grading_handler_ray.pipelines.grading import grade_extract_task, grading_pipeline
+from ai_service_ocr_grading_handler_ray.stages import native
+from ai_service_ocr_grading_handler_ray.stages.extract import ExtractActor
 from ai_service_ocr_grading_handler_ray.stages.score import quantize_half, score_one
 from ai_service_ocr_grading_handler_ray.stages.collect import collect_tables
+from ai_service_ocr_grading_handler_ray.synth import docs_to_grading_requests
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +68,47 @@ def test_payload_rows_graded(graded):
     nonblank = graded.filter(pc.invert(graded["is_blank"]))
     assert nonblank.num_rows >= 400
     assert pc.min(pc.utf8_length(nonblank["student_answer"])).as_py() > 0
+
+
+def test_stage_a_is_one_batch_call(sf_dir, monkeypatch):
+    """Grading Stage A over the requests in 256-row batches: one native
+    call per batch, per-row Python only for the image answers, and each
+    answer is the inline one, else the stdlib twin's text for its payload,
+    over every kind of answer."""
+    if native.load() is None:
+        pytest.skip("native kernel unavailable on this host")
+    docs = pq.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"])
+    requests = docs_to_grading_requests(docs)
+    batch_calls, row_kinds = [], []
+    extract_batch, extract_one = native.NativeKernel.extract_batch, ExtractActor._extract_one
+
+    def counted_batch(self, html, *args):
+        batch_calls.append(len(html))
+        return extract_batch(self, html, *args)
+
+    def counted_row(self, kind, *args):
+        row_kinds.append(kind)
+        return extract_one(self, kind, *args)
+
+    monkeypatch.setattr(native.NativeKernel, "extract_batch", counted_batch)
+    monkeypatch.setattr(ExtractActor, "_extract_one", counted_row)
+    batches = [requests.slice(i, 256) for i in range(0, len(requests), 256)]
+    answers = [a for b in batches for a in grade_extract_task(b)["extracted_answer"].to_pylist()]
+    assert batch_calls == [len(b) for b in batches]
+    monkeypatch.undo()
+
+    n = len(requests)
+    twin = ExtractActor(html_engine="stdlib")(pa.table({
+        "url": pa.nulls(n, pa.string()),
+        "warc_ts": pa.nulls(n, pa.timestamp("us")),
+        "html": requests["student_answer_payload"],
+    }))
+    inline = requests["student_answer"].to_pylist()
+    kinds = twin["payload_kind"].to_pylist()
+    assert {"inline" if a else k for a, k in zip(inline, kinds)} == {
+        "inline", "html", "pdf", "image", "blank"}
+    assert row_kinds == [k for k in kinds if k == "image"]
+    assert answers == [a or t for a, t in zip(inline, twin["extracted_text"].to_pylist())]
 
 
 def test_score_one_deterministic_and_quantized():

@@ -1,8 +1,9 @@
-"""Native HTML kernel (stages/html_native.c): equality with the oracle
+"""Native HTML kernel (stages/html_native.c), reached through the batch
+call as ``extract_html_fused`` does: equality with the oracle
 (``extract_html_with_title``) on Unicode and tokenizer edge cases,
 near-linear cost on large and adversarial pages, and the build: warnings
 as errors, a sanitizer run, no silent fallback, a forced fallback (to the
-oracle) and a corrupt cache."""
+oracle), a corrupt cache and the pruning of superseded libraries."""
 
 import os
 import subprocess
@@ -77,7 +78,8 @@ EDGE_CASES = [
     b"<p>" + PAD.encode() + b"\xff\xfe\xc3\x28\xe2\x82\xf0\x9f\x98</p>",
     b"<div class=\"\xc5\xbfidebar\xff\"><p>" + PAD.encode() + b"</p></div>",
     b"\xed\xa0\x80<p>" + PAD.encode() + b"</p>",
-    "<p>lone \ud800 surrogate " + PAD + "</p>",
+    # a lone surrogate, as the bytes a str holding one encodes to
+    ("<p>lone \ud800 surrogate " + PAD + "</p>").encode("utf-8", "surrogatepass"),
     # attribute names in any ASCII case, spaced, and run into other characters
     f"<DIV ID = 'nav'><p>{PAD}</p></DIV><p>{PAD} kept</p>",
     f'<p data-id="nav">{PAD}</p><p xclass="nav">{PAD}</p><p Role="banner">{PAD}</p>',
@@ -189,17 +191,6 @@ def _best_time(fn, doc, rounds=3):
     return best
 
 
-def test_native_kernel_cost_is_near_linear():
-    kernel = html_native.load()
-    if kernel is None:
-        pytest.skip("native kernel unavailable on this host")
-    small, big = adversarial(1), adversarial(4)
-    for name in small:
-        kernel(small[name], 25, 33)  # warm
-        ratio = _best_time(kernel, big[name]) / _best_time(kernel, small[name])
-        assert ratio <= 6, (name, ratio)
-
-
 def _one_row_batch(kernel):
     """Run one page through the batch entry, as a one-row HTML batch."""
 
@@ -246,6 +237,12 @@ def test_forced_fallback_gives_identical_output(monkeypatch):
     assert [extract_html_fused(d) for d in docs] == native
 
 
+def test_thresholds_beyond_int64_run_the_oracle():
+    doc = f"<p>{PAD}</p><p>x <a>{PAD}</a></p>"
+    for thresholds in ((-(2**63) - 1, 33), (25, 2**63), (2**70, -(2**70))):
+        assert extract_html_fused(doc, *thresholds) == extract_html_with_title(doc, *thresholds)
+
+
 def test_truncated_library_in_cache_is_rebuilt(tmp_path):
     cc = html_native.compiler()
     if cc is None:
@@ -256,9 +253,32 @@ def test_truncated_library_in_cache_is_rebuilt(tmp_path):
         head = f.read(4096)
     with open(path, "wb") as f:  # never loaded: safe to cut in place
         f.write(head)
-    kernel = html_native.open_kernel(str(tmp_path))
-    assert kernel(f"<p>{PAD}</p>", 25, 33) == (PAD, 1, "")
+    res = _one_row_batch(html_native.open_kernel(str(tmp_path)))(f"<p>{PAD}</p>", 25, 33)
+    assert (res.text.to_pylist(), list(res.n_blocks), res.title.to_pylist()) == ([PAD], [1], [""])
     assert os.path.getsize(path) > len(head)
+
+
+def test_build_prunes_superseded_libraries(tmp_path):
+    """A build leaves the ``KEEP_LIBRARIES`` most recently used libraries
+    and deletes the rest; loading a library marks it used."""
+    cc = html_native.compiler()
+    if cc is None:
+        pytest.skip("no C compiler on this host")
+    stale = [tmp_path / f"native-{i:032x}.so" for i in range(10)]
+    for age, lib in enumerate(stale):
+        lib.write_bytes(b"stale")
+        os.utime(lib, (1e9 - age, 1e9 - age))  # stale[0] used last
+    (tmp_path / "notes.txt").write_text("not a library")
+    path = html_native.library_path(str(tmp_path), cc)
+    html_native.open_kernel(str(tmp_path))
+    keep = stale[: html_native.KEEP_LIBRARIES - 1]
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        [os.path.basename(path), "notes.txt", *(lib.name for lib in keep)])
+
+    os.utime(path, (1e9 - 100, 1e9 - 100))
+    html_native.open_kernel(str(tmp_path))  # a load, not a build: prunes nothing
+    assert os.path.getmtime(path) > 1e9
+    assert len(os.listdir(tmp_path)) == html_native.KEEP_LIBRARIES + 1
 
 
 def test_unwritable_cache_falls_back(tmp_path, monkeypatch):
@@ -278,8 +298,9 @@ import hashlib, random, sys
 sys.path[:0] = [sys.argv[2], sys.argv[3]]
 import pyarrow as pa
 import pyarrow.parquet as pq
+from ai_service_ocr_grading_handler_ray.stages import native
 from ai_service_ocr_grading_handler_ray.stages.classify import KINDS, classify_payload_kind
-from ai_service_ocr_grading_handler_ray.stages.html_extract import extract_html_with_title
+from ai_service_ocr_grading_handler_ray.stages.html_extract import extract_html_fused, extract_html_with_title
 from ai_service_ocr_grading_handler_ray.stages.native import NativeKernel
 from ai_service_ocr_grading_handler_ray.synth import docs_to_pages
 from test_html_native import EDGE_CASES, adversarial
@@ -288,35 +309,13 @@ kernel = NativeKernel(sys.argv[1])
 ffi, lib = kernel._ffi, kernel._lib
 pages = classify_payload_kind(docs_to_pages(pq.read_table(sys.argv[4])))
 html = [p for p, k in zip(pages["html"].to_pylist(), pages["payload_kind"].to_pylist()) if k == "html"]
+native.load = lambda: kernel  # extract_html_fused runs the sanitized library
 for doc in html + EDGE_CASES:
-    assert kernel(doc, 25, 33) == extract_html_with_title(doc, 25, 33)
-
-
-# bytes straight into C, in a buffer of exactly their size, so a read one
-# byte past the end hits a redzone
-def raw_call(raw, min_len=25, max_link_pct=33):
-    buf = ffi.new(f"char[{len(raw)}]")
-    ffi.memmove(buf, raw, len(raw))
-    res = ffi.new("hx_result *")
-    assert lib.hx_extract(buf, len(raw), min_len, max_link_pct, res) == 0
-    lib.hx_free(res)
-
-
-docs = html + EDGE_CASES + list(adversarial(4).values())
-for doc in docs:
-    raw = doc if isinstance(doc, bytes) else doc.encode("utf-8", "surrogatepass")
-    for cut in range(0, len(raw), max(1, len(raw) // 7)):  # and ~7 prefixes of each
-        raw_call(raw[:cut])
-    raw_call(raw)
-rng = random.Random(0)  # invalid UTF-8 everywhere
-for i in range(3000):
-    raw = bytes(rng.randrange(256) for _ in range(rng.randrange(64)))
-    raw += rng.choice([b"<p class='", b"&#x", b"&ab", b"<!--", b"</scr", b"<title>", b"\xe2", b""])
-    raw_call(raw, 25 - i, 33 + i)
+    assert extract_html_fused(doc, 25, 33) == extract_html_with_title(doc, 25, 33)
 
 
 # the batch entry, every array in a buffer of exactly its size
-def batch_call(payloads, kinds, first=0):
+def batch_call(payloads, kinds, first=0, min_len=25, max_link_pct=33):
     rows = payloads[first:]
     n = len(rows)
     offsets = [0]
@@ -331,7 +330,7 @@ def batch_call(payloads, kinds, first=0):
     kinds_buf = ffi.new(f"int8_t[{n}]", kinds[first:])
     rc = lib.xb_extract(
         offsets_buf + first, data_buf, n, kinds_buf,
-        ffi.new(f"int64_t[{n}]", [25] * n), ffi.new(f"int64_t[{n}]", [33] * n),
+        ffi.new(f"int64_t[{n}]", [min_len] * n), ffi.new(f"int64_t[{n}]", [max_link_pct] * n),
         ffi.new(f"int64_t[{n + 1}]"), ffi.new(f"int64_t[{n + 1}]"), ffi.new(f"int32_t[{n}]"),
         ffi.new(f"int8_t[{n}]"), ffi.new(f"uint8_t[{n}]"), ffi.new(f"uint8_t[{n}]"), sha, out)
     assert rc == 0
@@ -340,12 +339,32 @@ def batch_call(payloads, kinds, first=0):
     return list(kinds_buf)
 
 
+# raw bytes one row at a time: as they are (the UTF-8 check flags most)
+# and repaired as extract_html_fused repairs them (so they reach the HTML
+# kernel), each row ending exactly where its buffer does
+def raw_rows(raw, min_len=25, max_link_pct=33):
+    for row in {raw, raw.decode("utf-8", "replace").encode()}:
+        batch_call([row], [0], min_len=min_len, max_link_pct=max_link_pct)
+
+
+docs = html + EDGE_CASES + list(adversarial(4).values())
+for doc in docs:
+    raw = doc if isinstance(doc, bytes) else doc.encode("utf-8")
+    for cut in range(0, len(raw), max(1, len(raw) // 7)):  # and ~7 prefixes of each
+        raw_rows(raw[:cut])
+    raw_rows(raw)
+rng = random.Random(0)  # invalid UTF-8 everywhere
+for i in range(3000):
+    raw = bytes(rng.randrange(256) for _ in range(rng.randrange(64)))
+    raw += rng.choice([b"<p class='", b"&#x", b"&ab", b"<!--", b"</scr", b"<title>", b"\xe2", b""])
+    raw_rows(raw, 25 - i, 33 + i)
+
 kinds = [KINDS.index(k) for k in pages["payload_kind"].to_pylist()]
 payloads = [p or b"" for p in pages["html"].to_pylist()]
 assert set(kinds) == set(range(len(KINDS)))  # every kind, images left to the caller
 batch_call(payloads, kinds)
 batch_call(payloads, kinds, first=len(payloads) // 3)  # a sliced array
-edge = [d if isinstance(d, bytes) else d.encode("utf-8", "surrogatepass") for d in EDGE_CASES]
+edge = [d if isinstance(d, bytes) else d.encode("utf-8") for d in EDGE_CASES]
 batch_call(edge, [0] * len(edge))
 for raw in (b"", b"<p>x</p>", payloads[0], bytes(range(256))):  # one row
     for kind in range(len(KINDS)):

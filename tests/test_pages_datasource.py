@@ -129,6 +129,6 @@ def test_what_it_cannot_read_goes_to_rays_reader(tmp_path, pages_files):
     text = tmp_path / "notes.parquet"
     text.write_text("not parquet")
     for paths in ([str(nested)], [str(text)], [str(tmp_path / "missing.parquet")]):
-        assert readers.read_tasks(paths) is None
+        assert readers._pages_datasource(paths, False) is None
     assert not readers.grouped_read(read_pages(str(nested)))
     assert read_pages(str(nested)).count() == 80

@@ -416,7 +416,7 @@ def test_one_read_task_spans_all_partitions(tmp_path, sf_dir, monkeypatch):
 
     files = _make_input(tmp_path, sf_dir)
     monkeypatch.setattr(readers, "_cpus", lambda: 1)
-    assert readers.read_tasks(files) == 1
+    assert readers.PagesDatasource(files).read_tasks() == 1
     done = resumable_extract(files, str(tmp_path / "out"), partition_size=1)
     assert [m["partition_id"] for m in done] == [0, 1, 2, 3]
     engine = ExtractActor()

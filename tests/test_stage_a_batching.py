@@ -1,5 +1,5 @@
 """Stage A's unit of work: one fused read → extract → write task per
-~16 MiB group of whole input files (``sources.readers.read_tasks``), and
+~16 MiB group of whole input files (``PagesDatasource.read_tasks``), and
 the 256-row batches of every other input."""
 
 import base64
@@ -17,7 +17,7 @@ import ray.data as rd
 from ai_service_ocr_grading_handler_ray.pipelines import extract as pipeline
 from ai_service_ocr_grading_handler_ray.pipelines.extract import extract_pages
 from ai_service_ocr_grading_handler_ray.sources import readers
-from ai_service_ocr_grading_handler_ray.sources.readers import grouped_read, read_pages, read_tasks
+from ai_service_ocr_grading_handler_ray.sources.readers import PagesDatasource, grouped_read, read_pages
 from ai_service_ocr_grading_handler_ray.stages import extract as stage
 from ai_service_ocr_grading_handler_ray.synth import docs_to_pages
 
@@ -58,14 +58,14 @@ def _extract_to(out, files):
 def test_cpu_floor_binds_on_small_input(pages_files):
     # six ~2 MB files are less than one 16 MiB group: one task per CPU
     assert _footer_bytes(pages_files) < readers.BATCH_BYTES
-    assert read_tasks(pages_files) == min(6, _cpus())
+    assert PagesDatasource(pages_files).read_tasks() == min(6, _cpus())
 
 
 def test_byte_target_binds(tmp_path, pages_files, monkeypatch):
     monkeypatch.setattr(readers, "BATCH_BYTES", 2**20)
     tasks = min(6, math.ceil(_footer_bytes(pages_files) / 2**20))
     assert tasks > _cpus()  # the byte term binds, not the CPU floor
-    assert read_tasks(pages_files) == tasks
+    assert PagesDatasource(pages_files).read_tasks() == tasks
     written = _extract_to(str(tmp_path / "out"), pages_files)
     assert len(written) == tasks
     assert _urls(written) == _urls(pages_files)
@@ -127,7 +127,7 @@ def test_multi_mb_rows_get_at_most_8_per_batch(tmp_path, monkeypatch):
     with pq.ParquetWriter(path, row.schema, use_dictionary=False) as w:
         for _ in range(40):
             w.write_table(row)
-    assert read_tasks(path) == 1
+    assert PagesDatasource([path]).read_tasks() == 1
     rows = _batch_rows(lambda: read_pages(path), monkeypatch, str(tmp_path / "log"))
     assert sum(rows) == 40
     assert max(rows) <= 8, rows
