@@ -16,12 +16,12 @@ buffers, sniffs each row's kind when the batch has none (as
 ``classify.classify_payload_kind`` does) and extracts every HTML and PDF
 row, with each row's status, ``is_blank`` and SHA-256 digest; its text and
 title buffers become the output columns without a per-row Python object.
-The rows it flags, and only those, run per row in Python, through
-``ExtractActor._extract_one`` and ``sha256_hex``: image rows (OCR), HTML
-that is not valid UTF-8 (``extract_html_fused`` repairs it with Python's
-``errors="replace"`` decode, the one definition of the repair, and runs
-it as a one-row batch), and PDFs without the glyph marker or that the PDF
-kernel declines (the Python decoder and XY-cut).  The oracle engine
+The rows it flags are finished in Python.  HTML that is not valid UTF-8
+is repaired with Python's ``errors="replace"`` decode (the one definition
+of the repair), and all of a batch's repaired rows go through ONE more
+batch call.  Image rows (OCR) and PDFs without the glyph marker or that
+the PDF kernel declines (the Python decoder and XY-cut) run per row,
+through ``ExtractActor._extract_one`` and ``sha256_hex``.  The oracle engine
 (``html_engine="stdlib"``), and the production one on a host without a
 compiler, sniff with ``classify_payload_kind`` and run every row that
 way; the two differ only in the HTML engine.  The output
@@ -59,6 +59,7 @@ from .ocr import OcrEngine
 from .pdf_layout import parse_pdf_layout
 
 _KINDS = pa.array(KINDS)
+_HTML = KINDS.index("html")
 _BATCH_STATUSES = pa.array(native.BATCH_STATUSES)
 
 
@@ -186,9 +187,10 @@ class ExtractActor:
 
     def _extract_native(self, kernel: native.NativeKernel, batch: pa.Table) -> list[pa.Array]:
         """The same columns from one ``kernel.extract_batch`` call, which
-        sniffs the kinds when the batch has none; the rows it flags
-        (images, HTML that is not valid UTF-8, PDFs it declines) go through
-        ``_extract_one``."""
+        sniffs the kinds when the batch has none.  Of the rows it flags,
+        the HTML ones (not valid UTF-8) are repaired and run together in
+        one more batch call; the rest (images, PDFs it declines) go
+        through ``_extract_one``."""
         n = len(batch)
         html = single_array(batch["html"].cast(pa.large_binary()))
         if html.null_count:
@@ -199,30 +201,43 @@ class ExtractActor:
             kinds = np.array(kinds.to_numpy(), np.int8)
         else:
             kind_col, kinds = None, np.full(n, -1, np.int8)  # the kernel sniffs
-        res = kernel.extract_batch(html, kinds, *self._thresholds(batch))
+        min_len, max_link_pct = self._thresholds(batch)
+        res = kernel.extract_batch(html, kinds, min_len, max_link_pct)
         if kind_col is None:
             kind_col = _KINDS.take(pa.array(kinds))
         text, title = res.text, res.title
 
         rows = np.flatnonzero(res.flagged)
         if len(rows):
-            langs = [None] * len(rows)
-            if "lang" in batch.column_names:
-                langs = batch["lang"].take(rows).to_pylist()
-            done = [
-                self._extract_one(KINDS[kind], payload, lang or "")
-                for kind, payload, lang in zip(kinds[rows], html.take(rows).to_pylist(), langs)
-            ]
-            texts, blocks, statuses, titles = zip(*done)
-            res.n_blocks[rows] = blocks
-            res.status[rows] = [native.BATCH_STATUSES.index(s) for s in statuses]
-            res.is_blank[rows] = [not t.strip() for t in texts]
-            res.sha[rows] = np.frombuffer(
-                "".join(sha256_hex(t) for t in texts).encode("ascii"), np.uint8
-            ).reshape(-1, 64)
-            flagged = pa.array(res.flagged)
-            text = pc.replace_with_mask(text, flagged, pa.array(texts, text.type))
-            title = pc.replace_with_mask(title, flagged, pa.array(titles, title.type))
+            payloads = html.take(rows).to_pylist()
+            texts, titles = [""] * len(rows), [""] * len(rows)
+            is_html = kinds[rows] == _HTML
+            if is_html.any():
+                # Python's errors="replace" decode is the one definition of
+                # the repair; the repaired rows are valid UTF-8
+                at, repaired = rows[is_html], np.flatnonzero(is_html)
+                again = kernel.extract_batch(
+                    pa.array([payloads[j].decode("utf-8", "replace").encode() for j in repaired],
+                             pa.large_binary()),
+                    kinds[at], min_len[at], max_link_pct[at])
+                for name in ("n_blocks", "status", "is_blank", "sha"):
+                    getattr(res, name)[at] = getattr(again, name)
+                for j, t, ti in zip(repaired, again.text.to_pylist(), again.title.to_pylist()):
+                    texts[j], titles[j] = t, ti
+                # the other flagged rows (images, PDFs) have no title
+                title = pc.replace_with_mask(title, pa.array(res.flagged), pa.array(titles, title.type))
+            if not is_html.all():
+                at, rest = rows[~is_html], np.flatnonzero(~is_html)
+                done = [self._extract_one(KINDS[kinds[i]], payloads[j]) for i, j in zip(at, rest)]
+                for j, d in zip(rest, done):
+                    texts[j] = d[0]
+                res.n_blocks[at] = [d[1] for d in done]
+                res.status[at] = [native.BATCH_STATUSES.index(d[2]) for d in done]
+                res.is_blank[at] = [not d[0].strip() for d in done]
+                res.sha[at] = np.frombuffer(
+                    "".join(sha256_hex(d[0]) for d in done).encode("ascii"), np.uint8
+                ).reshape(-1, 64)
+            text = pc.replace_with_mask(text, pa.array(res.flagged), pa.array(texts, text.type))
 
         offsets = np.arange(0, 64 * n + 1, 64, dtype=np.int32)
         digests = pa.Array.from_buffers(
@@ -246,8 +261,10 @@ class ExtractActor:
             encoded = single_array(batch["lang"]).dictionary_encode()
             langs += encoded.dictionary.to_pylist()
             index = encoded.indices.fill_null(-1).to_numpy().astype(np.intp) + 1
-        table = np.array([self._params_for(lang) for lang in langs], np.int64)[index]
-        return table[:, 0], table[:, 1]
+        # one row per threshold, so each comes out contiguous
+        table = np.array([self._params_for(lang) for lang in langs], np.int64).T
+        min_len, max_link_pct = table.take(index, axis=1)
+        return min_len, max_link_pct
 
 
 # --- stateless tasks with a per-worker engine cache -------------------------

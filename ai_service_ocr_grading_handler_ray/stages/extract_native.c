@@ -196,9 +196,19 @@ static int utf8_valid(const unsigned char *s, size_t n)
     while (i < n) {
         unsigned char c = s[i], lo = 0x80, hi = 0xBF;
         size_t len, k;
-        if (c < 0x80) { /* ASCII: eight bytes at a time */
+        if (c < 0x80) { /* ASCII: 16 (SSE2) or eight bytes at a time */
             uint64_t w;
-            for (i++; n - i >= 8; i += 8) {
+            i++;
+#ifdef NATIVE_SSE2
+            for (; n - i >= 16; i += 16) {
+                unsigned m = (unsigned)_mm_movemask_epi8(_mm_loadu_si128((const __m128i *)(s + i)));
+                if (m) {
+                    i += (size_t)__builtin_ctz(m);
+                    break;
+                }
+            }
+#endif
+            for (; n - i >= 8; i += 8) {
                 memcpy(&w, s + i, 8);
                 if (w & 0x8080808080808080u)
                     break;
@@ -265,20 +275,12 @@ static int8_t sniff(const char *doc, size_t n)
 }
 
 /* Lay out one PDF row into `text`: PX_OK, PX_DECLINED or PX_NOMEM. */
-static int pdf_row(const char *doc, size_t n, hx_buf *text, int64_t *kept)
+static int pdf_row(const char *doc, size_t n, px_scratch *sc, hx_buf *text, int64_t *kept)
 {
     const char *body = glyph_body(doc, n);
-    px_page page;
-    int rc;
     if (!body)
         return PX_DECLINED;
-    rc = px_extract(body, n - (size_t)(body - doc), &page);
-    if (rc == PX_OK) {
-        hx_put(text, page.text, page.text_len);
-        *kept = page.n_blocks;
-    }
-    px_free(&page);
-    return rc;
+    return px_extract(body, n - (size_t)(body - doc), sc, text, kept);
 }
 
 /* ---- the batch ------------------------------------------------------------ */
@@ -289,9 +291,11 @@ int xb_extract(const int64_t *offsets, const char *data, int64_t n, int8_t *kind
                uint8_t *flagged, char *sha_hex, xb_text *out)
 {
     hx_buf text = {NULL, 0, 0, 0}, title = {NULL, 0, 0, 0};
+    px_scratch pdf;
     int64_t i;
 
     memset(out, 0, sizeof *out);
+    memset(&pdf, 0, sizeof pdf);
     hx_reserve(&text, 64); /* the caller gets buffers even when they stay empty */
     hx_reserve(&title, 64);
     text_off[0] = title_off[0] = 0;
@@ -315,7 +319,7 @@ int xb_extract(const int64_t *offsets, const char *data, int64_t n, int8_t *kind
             st = text.len > start ? XB_S_OK : XB_S_BLANK;
             break;
         case XB_PDF:
-            rc = pdf_row(doc, len, &text, &kept);
+            rc = pdf_row(doc, len, &pdf, &text, &kept);
             if (rc == PX_NOMEM)
                 goto oom;
             flag = rc == PX_DECLINED;
@@ -337,6 +341,7 @@ int xb_extract(const int64_t *offsets, const char *data, int64_t n, int8_t *kind
         text_off[i + 1] = (int64_t)text.len;
         title_off[i + 1] = (int64_t)title.len;
     }
+    px_scratch_free(&pdf);
     if (text.oom || title.oom)
         goto oom;
     out->text = text.p;
@@ -345,6 +350,7 @@ int xb_extract(const int64_t *offsets, const char *data, int64_t n, int8_t *kind
     out->title_len = title.len;
     return 0;
 oom:
+    px_scratch_free(&pdf);
     free(text.p);
     free(title.p);
     return -1;

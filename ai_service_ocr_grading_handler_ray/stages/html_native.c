@@ -19,11 +19,26 @@
  * buffer.  Input that is not valid UTF-8 (xb_extract flags such rows and
  * never passes any) is read one byte per code point.
  *
+ * Fast paths.  The scalar loops are the one definition: each fast path
+ * only skips input that its loop would treat the same way, and hands back
+ * to the loop at the first byte it does not handle.
+ * - word_run: a run of single-spaced ASCII words (no '&', control or
+ *   non-ASCII byte and no second space) goes to the sink as one word,
+ *   scanned 16 bytes at a time with SSE2 (reading ahead up to the end of
+ *   the document, never past it).
+ * - tag_lookup: one probe of a hash table built from HX_TAGS when the
+ *   library loads, keyed on the length and the lowercase first and last
+ *   characters.
+ * - hx_put (native.h) appends inline while the buffer has room.
+ * extract_native.c's UTF-8 check skips ASCII 16 bytes at a time the same
+ * way.  -DXB_NO_SIMD builds the scalar loops alone; the tests compare the
+ * two builds.
+ *
  * html_native_tables.h is generated by native.py from the running
- * Python: the tag sets (sorted, with the range of each first letter) and
- * boiler words of html_extract.py, the html.entities.html5 table,
- * html._invalid_charrefs and html._invalid_codepoints, and the
- * str.isspace and re.IGNORECASE facts of its Unicode database.
+ * Python: the tag sets and boiler words of html_extract.py, the
+ * html.entities.html5 table, html._invalid_charrefs and
+ * html._invalid_codepoints, and the str.isspace and re.IGNORECASE facts
+ * of its Unicode database.
  */
 
 #include <stdlib.h>
@@ -72,14 +87,6 @@ int hx_reserve(hx_buf *b, size_t extra)
     b->p = p;
     b->cap = cap;
     return 1;
-}
-
-void hx_put(hx_buf *b, const void *s, size_t n)
-{
-    if (n && hx_reserve(b, n)) {
-        memcpy(b->p + b->len, s, n);
-        b->len += n;
-    }
 }
 
 /* ---- Unicode ---------------------------------------------------------- */
@@ -177,8 +184,10 @@ static int is_xdigit(unsigned char c) { return is_digit(c) || (unsigned char)((c
 /* ---- normalising text sink -------------------------------------------- */
 
 /* Appends " ".join(s.split()) of everything fed to it to `buf`, with
- * `lead` written before the first character.  The piece counters give
- * len(" ".join(piece.split())) of the current piece. */
+ * `lead` written before the first character.  Of the current piece,
+ * piece_chars + piece_words - 1 (0 without words) is
+ * len(" ".join(piece.split())): a run of single-spaced words fed as one
+ * word counts its spaces as characters instead of its gaps as words. */
 typedef struct {
     hx_buf *buf;
     const char *lead;
@@ -356,8 +365,53 @@ literal:
     return i + 1;
 }
 
-/* Feed html.unescape(s[a..b)) to the sink as one piece. */
-static void emit_text(hx_sink *k, const unsigned char *s, size_t a, size_t b)
+/* ASCII that is neither '&' nor str.isspace: text the sink copies as it is. */
+static int word_byte(unsigned char c) { return c < 0x80 && c != '&' && !HX_ASCII_SPACE[c]; }
+
+/* The end of the run of words of word bytes, joined by one ' ' each, that
+ * starts at the word byte s[i] and ends at or before b on a word byte:
+ * text that " ".join(run.split()) leaves as it is.  With SSE2, 16 bytes at
+ * a time (read up to n, the end of the document) pass up to the first one
+ * that is '&', a control, a space or non-ASCII, not counting a space
+ * followed by none of those, or up to b; the byte loop decides at every
+ * byte where that stops. */
+static size_t word_run(const unsigned char *s, size_t i, size_t b, size_t n)
+{
+    size_t l = i + 1;
+#ifndef NATIVE_SSE2
+    (void)n; /* only the chunks read ahead of b */
+#endif
+    for (;;) {
+#ifdef NATIVE_SSE2
+        while (n - l >= 16) {
+            __m128i v = _mm_loadu_si128((const __m128i *)(s + l));
+            /* signed: bytes >= 0x80 are below ' ' + 1 too; bit 16 or the
+             * bit of b stops the chunk */
+            unsigned odd = (unsigned)_mm_movemask_epi8(_mm_or_si128(
+                               _mm_cmplt_epi8(v, _mm_set1_epi8(' ' + 1)),
+                               _mm_cmpeq_epi8(v, _mm_set1_epi8('&')))) |
+                           1u << (b - l < 16 ? b - l : 16);
+            unsigned gap = (unsigned)_mm_movemask_epi8(_mm_cmpeq_epi8(v, _mm_set1_epi8(' ')));
+            unsigned k;
+            odd &= ~(gap & ~(odd >> 1)); /* a space passes before a passing byte */
+            k = (unsigned)__builtin_ctz(odd);
+            l += k;
+            if (k < 16)
+                break;
+        }
+#endif
+        if (l < b && word_byte(s[l]))
+            l++;
+        else if (b - l >= 2 && s[l] == ' ' && word_byte(s[l + 1]))
+            l += 2;
+        else
+            return l;
+    }
+}
+
+/* Feed html.unescape(s[a..b)) to the sink as one piece; s[b..n) may be
+ * read. */
+static void emit_text(hx_sink *k, const unsigned char *s, size_t a, size_t b, size_t n)
 {
     size_t i = a;
     k->piece_chars = k->piece_words = 0;
@@ -369,10 +423,8 @@ static void emit_text(hx_sink *k, const unsigned char *s, size_t a, size_t b)
             i = charref(k, s, i, b);
             continue;
         }
-        if (s[i] < 0x80 && !HX_ASCII_SPACE[s[i]]) { /* ASCII run, in one copy */
-            l = i + 1;
-            while (l < b && s[l] < 0x80 && s[l] != '&' && !HX_ASCII_SPACE[s[l]])
-                l++;
+        if (word_byte(s[i])) { /* a run of ASCII words, in one copy */
+            l = word_run(s, i, b, n);
             sink_word(k, s + i, l - i, (int64_t)(l - i));
             i = l;
             continue;
@@ -534,7 +586,7 @@ static int boiler_attr(hx_state *st, size_t a, size_t b)
         return boiler_value(st->s, a, b);
     st->value.len = 0;
     sink_reset(&k, &st->value, "", 0);
-    emit_text(&k, st->s, a, b);
+    emit_text(&k, st->s, a, b, st->n);
     if (st->value.oom) {
         st->oom = 1;
         return 0;
@@ -547,18 +599,14 @@ static int boiler_attr(hx_state *st, size_t a, size_t b)
 static unsigned attr_kind(const unsigned char *s, size_t a, size_t b)
 {
     static const char *const names[] = {"id", "class", "role"};
-    unsigned k;
-    for (k = 0; k < 3; k++) {
-        const char *w = names[k];
-        size_t i = a;
-        while (*w && i < b && (s[i] | 0x20) == (unsigned char)*w) {
-            i++;
-            w++;
-        }
-        if (!*w && i == b)
-            return 1u << k;
-    }
-    return 0;
+    unsigned k = b - a == 2 ? 0 : b - a == 5 ? 1 : b - a == 4 ? 2 : 3;
+    size_t i;
+    if (k == 3)
+        return 0;
+    for (i = 0; i < b - a; i++)
+        if ((s[a + i] | 0x20) != (unsigned char)names[k][i])
+            return 0;
+    return 1u << k;
 }
 
 /* The attribute states from `i`, just past a tag name: the position after
@@ -608,22 +656,51 @@ static size_t scan_attrs(hx_state *st, size_t i, int want, int *self_closing, in
     }
 }
 
+/* HX_TAGS by tag_hash of the name, with linear probing: 1 + the index in
+ * HX_TAGS, or 0 for an empty slot.  Built when the library loads. */
+#define HX_TAG_SLOTS 128u
+_Static_assert(HX_N_TAGS < HX_TAG_SLOTS / 2, "the tag table stays at most half full");
+static unsigned char hx_tag_slot[HX_TAG_SLOTS];
+
+static unsigned char lower(unsigned char c) { return c >= 'A' && c <= 'Z' ? c | 0x20 : c; }
+
+/* A hash of the tag name whose lowercase first and last characters are
+ * `first` and `last`. */
+static unsigned tag_hash(unsigned char first, unsigned char last, size_t len)
+{
+    return (first * 7u + last * 3u + (unsigned)len * 5u) & (HX_TAG_SLOTS - 1);
+}
+
+__attribute__((constructor)) static void hx_tags_init(void)
+{
+    unsigned t, h;
+    for (t = 0; t < HX_N_TAGS; t++) {
+        const hx_tag *tag = &HX_TAGS[t];
+        for (h = tag_hash((unsigned char)tag->name[0], (unsigned char)tag->name[tag->len - 1], tag->len);
+             hx_tag_slot[h]; h = (h + 1) & (HX_TAG_SLOTS - 1))
+            ;
+        hx_tag_slot[h] = (unsigned char)(t + 1);
+    }
+}
+
 /* The tag named s[a..a+len) in any ASCII case: its flags and index in
- * HX_TAGS, or 0.  A name starts with an ASCII letter (next_tag), whose
- * range of HX_TAGS is HX_TAG_FIRST[letter - 'a'] .. HX_TAG_FIRST[letter - 'a' + 1]. */
+ * HX_TAGS, or 0.  A name starts with an ASCII letter (next_tag). */
 static unsigned tag_lookup(const unsigned char *s, size_t a, size_t len, int *id)
 {
-    char low[HX_TAG_MAX];
-    size_t i, t, letter;
+    size_t i;
+    unsigned h, slot;
     if (len > HX_TAG_MAX)
         return 0;
-    for (i = 0; i < len; i++)
-        low[i] = (char)(s[a + i] >= 'A' && s[a + i] <= 'Z' ? s[a + i] | 0x20 : s[a + i]);
-    letter = (size_t)(low[0] - 'a');
-    for (t = HX_TAG_FIRST[letter]; t < HX_TAG_FIRST[letter + 1]; t++) {
-        if (HX_TAGS[t].len == len && memcmp(HX_TAGS[t].name, low, len) == 0) {
-            *id = (int)t;
-            return HX_TAGS[t].flags;
+    for (h = tag_hash(lower(s[a]), lower(s[a + len - 1]), len); (slot = hx_tag_slot[h]) != 0;
+         h = (h + 1) & (HX_TAG_SLOTS - 1)) {
+        const hx_tag *t = &HX_TAGS[slot - 1];
+        if (t->len != len)
+            continue;
+        for (i = 0; i < len && (unsigned char)t->name[i] == lower(s[a + i]); i++)
+            ;
+        if (i == len) {
+            *id = (int)(slot - 1);
+            return t->flags;
         }
     }
     return 0;
@@ -706,7 +783,7 @@ static void emit_data(hx_state *st, size_t a, size_t b)
 {
     if (a >= b || st->skip)
         return;
-    emit_text(&st->blk, st->s, a, b);
+    emit_text(&st->blk, st->s, a, b, st->n);
     if (st->link)
         st->link_chars += st->blk.piece_chars + (st->blk.piece_words ? st->blk.piece_words - 1 : 0);
 }
@@ -819,7 +896,7 @@ int64_t hx_append(const char *doc, size_t n, int64_t min_len, int64_t max_link_p
              * markup; a self-closing flag does not stop it */
             size_t cs = find_close(st.s, pos, st.n, HX_TAGS[t.id].name, HX_TAGS[t.id].len);
             if (f & HX_TITLE)
-                emit_text(&st.ttl, st.s, pos, cs);
+                emit_text(&st.ttl, st.s, pos, cs, st.n);
             pos = cs;
         } else if (t.self_closing) {
             end_tag(&st, f, t.id);

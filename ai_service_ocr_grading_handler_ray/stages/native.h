@@ -8,9 +8,18 @@
 
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 /* Not exported from the library: calls within it can then be inlined. */
 #define NATIVE_INTERNAL __attribute__((visibility("hidden")))
+
+/* The skip-ahead scans use SSE2, the x86-64 baseline: no -march, whose
+ * CPU flags the library's cache key does not cover.  -DXB_NO_SIMD builds
+ * the scalar loops alone, for the tests to compare. */
+#if defined(__SSE2__) && !defined(XB_NO_SIMD)
+#include <emmintrin.h>
+#define NATIVE_SSE2 1
+#endif
 
 /* ---- html_native.c ------------------------------------------------------ */
 
@@ -18,7 +27,16 @@
 typedef struct { char *p; size_t len, cap; int oom; } hx_buf;
 
 NATIVE_INTERNAL int hx_reserve(hx_buf *b, size_t extra);
-NATIVE_INTERNAL void hx_put(hx_buf *b, const void *s, size_t n);
+
+/* Append s[0..n): inline while it fits, which it mostly does. */
+static inline void hx_put(hx_buf *b, const void *s, size_t n)
+{
+    if (n && (n <= b->cap - b->len || hx_reserve(b, n))) {
+        memcpy(b->p + b->len, s, n);
+        b->len += n;
+    }
+}
+
 /* Append one page's text and title to `text` and `title`; returns the
  * number of kept blocks, or -1 when out of memory. */
 NATIVE_INTERNAL int64_t hx_append(const char *doc, size_t n, int64_t min_len, int64_t max_link_pct,
@@ -28,24 +46,17 @@ NATIVE_INTERNAL int hx_blank(const char *s, size_t n);
 
 /* ---- pdf_native.c ------------------------------------------------------- */
 
-typedef struct {
-    int32_t x, y, w, h;
-    uint32_t off, len; /* the glyph's text: chars[off .. off + len) */
-} px_glyph;
-
-typedef struct {
-    px_glyph *glyphs;
-    int64_t n_glyphs;
-    char *chars;
-    char *text;
-    size_t text_len;
-    int64_t n_blocks;
-} px_page;
+/* Memory px_extract reuses from one row of a batch to the next. */
+typedef struct { hx_buf glyphs, chars, spans, work, count; } px_scratch;
 
 enum { PX_OK = 0, PX_DECLINED = 1, PX_NOMEM = -1 };
 
-NATIVE_INTERNAL int px_extract(const char *body, size_t n, px_page *page);
-NATIVE_INTERNAL void px_free(px_page *page);
+/* Lay out the page of the glyph JSON body[0..n): its text is appended to
+ * `text` and its block count stored in *n_blocks on PX_OK; nothing is
+ * appended on PX_DECLINED (outside the decoder's subset) or PX_NOMEM. */
+NATIVE_INTERNAL int px_extract(const char *body, size_t n, px_scratch *sc, hx_buf *text,
+                               int64_t *n_blocks);
+NATIVE_INTERNAL void px_scratch_free(px_scratch *sc);
 
 /* ---- extract_native.c --------------------------------------------------- */
 

@@ -15,7 +15,8 @@
 
 ``extract_batch`` is the only way into either kernel: ``extract.
 ExtractActor`` calls it once per batch (extraction and grading Stage A
-alike), and ``html_extract.extract_html_fused`` as a one-row batch.
+alike; once more for the batch's HTML rows that are not valid UTF-8,
+repaired), and ``html_extract.extract_html_fused`` as a one-row batch.
 
 ``native.h`` declares what the three share.  They compile into one shared
 library, once per host, on first use; cffi opens it in ABI mode.  One
@@ -120,8 +121,6 @@ def _data_tables() -> str:
         f = "|".join(k for k, v in flags.items() if t in v)
         out.append(f'    {{"{t}", {len(t)}, {f}}},\n')
     out.append(f"}};\n#define HX_N_TAGS {len(tags)}u\n#define HX_TAG_MAX {max(map(len, tags))}\n")
-    first = [sum(t < letter for t in tags) for letter in "abcdefghijklmnopqrstuvwxyz{"]
-    out.append(_c_u32("HX_TAG_FIRST", first))
 
     words = hx._BOILER_WORDS
     out.append("static const char *const HX_BOILER_WORDS[] = {"

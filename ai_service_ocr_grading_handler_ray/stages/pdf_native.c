@@ -16,6 +16,12 @@
  * y + h) within int32, and non-negative boxes make both sides of every
  * cut non-empty.
  *
+ * Fast path: read_compact_glyph decodes the form payloads.encode_pdf_glyphs
+ * writes for text that needs no escape, [x,y,w,h,"text"], in one pass and
+ * leaves any other glyph, from its first byte, to the strict reader.  The
+ * decoder's and the layout's memory is a px_scratch that xb_extract reuses
+ * from row to row, and the text goes straight into the batch's buffer.
+ *
  * The layout follows pdf_layout.py rule for rule.  The page is sorted once
  * by (y, x) and once by (x, y), both stably (LSD radix, linear in n); a
  * node of the cut tree is a range of both orders holding the same glyphs.
@@ -44,37 +50,18 @@
 
 #define PX_COORD_LIMIT ((int64_t)1 << 30)
 
-/* ---- growing buffer ---------------------------------------------------- */
-
-typedef struct { char *p; size_t len, cap; } px_buf;
-
-static int buf_reserve(px_buf *b, size_t extra)
-{
-    size_t cap;
-    char *p;
-    if (extra <= b->cap - b->len)
-        return 1;
-    if (extra > SIZE_MAX / 2 - b->len)
-        return 0;
-    cap = b->cap ? b->cap : 256;
-    while (cap - b->len < extra)
-        cap *= 2;
-    p = realloc(b->p, cap);
-    if (!p)
-        return 0;
-    b->p = p;
-    b->cap = cap;
-    return 1;
-}
+typedef struct {
+    int32_t x, y, w, h;
+    uint32_t off, len; /* the glyph's text: chars[off .. off + len) */
+} px_glyph;
 
 /* ---- strict JSON-subset decoder ------------------------------------------ */
 
 typedef struct {
     const unsigned char *s;
     size_t n, i;
-    px_buf glyphs; /* px_glyph records */
-    px_buf chars;  /* decoded UTF-8 of every glyph's text */
-    int oom;
+    hx_buf *glyphs; /* px_glyph records */
+    hx_buf *chars;  /* decoded UTF-8 of every glyph's text, room for n bytes */
 } px_dec;
 
 static void skip_ws(px_dec *d)
@@ -193,8 +180,8 @@ static size_t utf8_len(const unsigned char *s, size_t avail)
     return len;
 }
 
-/* A JSON string into d->chars.  Its decoded length never exceeds its
- * length in the body, so the room reserved up front suffices. */
+/* A JSON string into d->chars.  A string's decoded length never exceeds
+ * its length in the body, so the room decode reserved suffices. */
 static int read_str(px_dec *d, uint32_t *off, uint32_t *len)
 {
     char *o;
@@ -203,19 +190,15 @@ static int read_str(px_dec *d, uint32_t *off, uint32_t *len)
     if (d->i >= d->n || d->s[d->i] != '"')
         return 0;
     d->i++;
-    if (!buf_reserve(&d->chars, d->n - d->i)) {
-        d->oom = 1;
-        return 0;
-    }
-    o = d->chars.p;
-    k = d->chars.len;
+    o = d->chars->p;
+    k = d->chars->len;
     while (d->i < d->n) {
         unsigned char c = d->s[d->i];
         if (c == '"') {
             d->i++;
-            *off = (uint32_t)d->chars.len;
-            *len = (uint32_t)(k - d->chars.len);
-            d->chars.len = k;
+            *off = (uint32_t)d->chars->len;
+            *len = (uint32_t)(k - d->chars->len);
+            d->chars->len = k;
             return 1;
         }
         if (c < 0x20)
@@ -264,25 +247,67 @@ static int read_str(px_dec *d, uint32_t *off, uint32_t *len)
     return 0;
 }
 
+/* The glyph at d->i when it has the compact form payloads.encode_pdf_glyphs
+ * writes for text that needs no escape, [x,y,w,h,"text"]: no whitespace,
+ * coordinates of one to nine digits without a leading zero (so below
+ * 2^30), and ASCII text without '"', '\\' or controls below 0x20.  The
+ * strict reader reads such a glyph the same way; anything else is left to
+ * it, with d->i where it was.  A compact glyph's coordinates end within
+ * its first 42 bytes, so they are read without bounds checks when that
+ * many remain. */
+static int read_compact_glyph(px_dec *d, px_glyph *g)
+{
+    const unsigned char *s = d->s + d->i;
+    size_t room = d->n - d->i, i = 1, j, a;
+    int32_t v[4];
+    unsigned f;
+    if (room < 42 || s[0] != '[')
+        return 0;
+    for (f = 0; f < 4; f++) {
+        int32_t x = 0;
+        for (j = i; i - j < 10 && is_digit(s[i]); i++)
+            x = x * 10 + (s[i] - '0');
+        if (i == j || i - j == 10 || (s[j] == '0' && i - j > 1) || s[i] != ',')
+            return 0;
+        v[f] = x;
+        i++;
+    }
+    if (s[i] != '"')
+        return 0;
+    for (a = ++i; i < room && s[i] >= 0x20 && s[i] < 0x80 && s[i] != '"' && s[i] != '\\'; i++)
+        ;
+    if (room - i < 2 || s[i] != '"' || s[i + 1] != ']')
+        return 0;
+    g->x = v[0];
+    g->y = v[1];
+    g->w = v[2];
+    g->h = v[3];
+    g->off = (uint32_t)d->chars->len;
+    g->len = (uint32_t)(i - a);
+    if (i - a == 1)
+        d->chars->p[d->chars->len] = (char)s[a];
+    else
+        memcpy(d->chars->p + d->chars->len, s + a, i - a);
+    d->chars->len += i - a;
+    d->i += i + 2;
+    return 1;
+}
+
 static int read_glyph(px_dec *d)
 {
     px_glyph g;
-    if (!eat(d, '[') || !read_int(d, &g.x) || !eat(d, ',') || !read_int(d, &g.y)
-        || !eat(d, ',') || !read_int(d, &g.w) || !eat(d, ',') || !read_int(d, &g.h)
-        || !eat(d, ',') || !read_str(d, &g.off, &g.len) || !eat(d, ']'))
+    if (!read_compact_glyph(d, &g) &&
+        (!eat(d, '[') || !read_int(d, &g.x) || !eat(d, ',') || !read_int(d, &g.y) || !eat(d, ',') ||
+         !read_int(d, &g.w) || !eat(d, ',') || !read_int(d, &g.h) || !eat(d, ',') ||
+         !read_str(d, &g.off, &g.len) || !eat(d, ']')))
         return 0;
-    if (!buf_reserve(&d->glyphs, sizeof g)) {
-        d->oom = 1;
-        return 0;
-    }
-    memcpy(d->glyphs.p + d->glyphs.len, &g, sizeof g);
-    d->glyphs.len += sizeof g;
-    return 1;
+    hx_put(d->glyphs, &g, sizeof g);
+    return !d->glyphs->oom;
 }
 
 static int decode(px_dec *d)
 {
-    if (!eat(d, '['))
+    if (!hx_reserve(d->chars, d->n) || !eat(d, '['))
         return 0;
     if (!eat(d, ']')) {
         do {
@@ -330,16 +355,18 @@ static void radix_pass(const px_span *src, px_span *dst, size_t n, int of_s, uns
 }
 
 /* Stable LSD radix sort of a by s, then e among equal s (s < 2^s_bits,
- * e < 2^e_bits; e_bits = 0 sorts by s alone), `digit` bits per pass. */
+ * e < 2^e_bits; e_bits = 0 sorts by s alone), at most `digit` bits per
+ * pass, the bits of a field split evenly over its passes. */
 static void sort_spans(px_span *a, px_span *tmp, size_t n, unsigned s_bits, unsigned e_bits,
                        unsigned digit, uint32_t *count)
 {
     px_span *src = a, *dst = tmp, *swap;
-    unsigned of_s, shift, bits;
+    unsigned of_s, shift, bits, width;
     for (of_s = 0; of_s < 2; of_s++) {
         bits = of_s ? s_bits : e_bits;
-        for (shift = 0; shift < bits; shift += digit) {
-            radix_pass(src, dst, n, (int)of_s, shift, bits - shift < digit ? bits - shift : digit,
+        width = bits ? (bits + (bits + digit - 1) / digit - 1) / ((bits + digit - 1) / digit) : 1;
+        for (shift = 0; shift < bits; shift += width) {
+            radix_pass(src, dst, n, (int)of_s, shift, bits - shift < width ? bits - shift : width,
                        count);
             swap = src;
             src = dst;
@@ -421,7 +448,10 @@ static void emit_block(px_layout *L, size_t lo, size_t hi)
             const px_glyph *q = &g[L->line_order[k]];
             if (!first && q->x - prev_end > q->w / 2)
                 L->out[L->out_len++] = ' ';
-            memcpy(L->out + L->out_len, L->chars + q->off, q->len);
+            if (q->len == 1)
+                L->out[L->out_len] = L->chars[q->off];
+            else
+                memcpy(L->out + L->out_len, L->chars + q->off, q->len);
             L->out_len += q->len;
             prev_end = (int64_t)q->x + q->w;
             first = 0;
@@ -508,40 +538,39 @@ static size_t cut_node(px_layout *L, px_span *cut, px_span *other, size_t lo, si
     return m;
 }
 
-static int layout(px_page *page)
+/* Lay out the n glyphs g, appending the text to `text` (room for it
+ * reserved here); 0 when out of memory. */
+static int layout(const px_glyph *g, size_t n, const char *chars, px_scratch *sc, hx_buf *text,
+                  int64_t *n_blocks)
 {
-    size_t n = (size_t)page->n_glyphs, chars_len = 0, sp = 0, k;
-    const px_glyph *g = page->glyphs;
+    size_t chars_len = 0, sp = 0, k;
     px_layout L;
-    px_span *spans = NULL;
-    uint32_t *work = NULL, *stack = NULL, *count = NULL, max_x = 0, max_y = 0;
+    uint32_t *work, *stack, *count, max_x = 0, max_y = 0;
     unsigned bits_x, bits_y, digit = 4;
-    int ok = 0;
 
     memset(&L, 0, sizeof L);
-    for (k = 0; k < n; k++)
-        chars_len += g[k].len;
-    /* text bound: every char, a space per glyph, a newline per line and
-     * two per block */
-    page->text = malloc(chars_len + 4 * n + 1);
-    if (!page->text)
-        return 0;
+    *n_blocks = 0;
     if (!n)
         return 1;
-    spans = malloc(3 * n * sizeof *spans);
-    work = malloc(7 * (n + 1) * sizeof *work);
-    stack = malloc(2 * (n + 1) * sizeof *stack);
+    for (k = 0; k < n; k++)
+        chars_len += g[k].len;
     while (digit < 16 && ((size_t)1 << digit) < n) /* radix digits: fewer on small pages */
         digit++;
-    count = malloc(((size_t)1 << digit) * sizeof *count);
-    if (!spans || !work || !stack || !count)
-        goto done;
+    /* text bound: every char, a space per glyph, a newline per line and
+     * two per block */
+    if (!hx_reserve(text, chars_len + 4 * n + 1) || !hx_reserve(&sc->spans, 3 * n * sizeof(px_span)) ||
+        !hx_reserve(&sc->work, 9 * (n + 1) * sizeof *work) ||
+        !hx_reserve(&sc->count, ((size_t)1 << digit) * sizeof *count))
+        return 0;
+    work = (uint32_t *)sc->work.p;
+    stack = work + 7 * (n + 1);
+    count = (uint32_t *)sc->count.p;
     L.g = g;
-    L.chars = page->chars;
-    L.out = page->text;
-    L.by_y = spans;
-    L.by_x = spans + n;
-    L.tmp = spans + 2 * n;
+    L.chars = chars;
+    L.out = text->p + text->len;
+    L.by_y = (px_span *)sc->spans.p;
+    L.by_x = L.by_y + n;
+    L.tmp = L.by_y + 2 * n;
     /* emit_block's arrays and cut_node's are never in use at once */
     L.line_of = L.cuts = work;
     L.line_start = L.piece_of = work + (n + 1);
@@ -594,50 +623,33 @@ static int layout(px_page *page)
             stack[sp++] = p < m ? L.cuts[p] : (uint32_t)hi;
         }
     }
-    page->text_len = L.out_len;
-    page->n_blocks = L.n_blocks;
-    ok = 1;
-done:
-    free(spans);
-    free(work);
-    free(stack);
-    free(count);
-    return ok;
+    text->len += L.out_len;
+    *n_blocks = L.n_blocks;
+    return 1;
 }
 
 /* ---- entry points ----------------------------------------------------------- */
 
-int px_extract(const char *body, size_t n, px_page *page)
+int px_extract(const char *body, size_t n, px_scratch *sc, hx_buf *text, int64_t *n_blocks)
 {
-    px_dec d;
-    int rc = PX_DECLINED;
-
-    memset(page, 0, sizeof *page);
-    memset(&d, 0, sizeof d);
+    px_dec d = {(const unsigned char *)body, n, 0, &sc->glyphs, &sc->chars};
     if (!body || n > UINT32_MAX) /* chars offsets are 32-bit */
         return PX_DECLINED;
-    d.s = (const unsigned char *)body;
-    d.n = n;
-    if (decode(&d)) {
-        page->glyphs = (px_glyph *)d.glyphs.p;
-        page->n_glyphs = (int64_t)(d.glyphs.len / sizeof(px_glyph));
-        page->chars = d.chars.p;
-        d.glyphs.p = d.chars.p = NULL;
-        rc = layout(page) ? PX_OK : PX_NOMEM;
-    } else if (d.oom) {
-        rc = PX_NOMEM;
-    }
-    free(d.glyphs.p);
-    free(d.chars.p);
-    if (rc != PX_OK)
-        px_free(page);
-    return rc;
+    sc->glyphs.len = sc->chars.len = 0;
+    if (!decode(&d))
+        return sc->glyphs.oom || sc->chars.oom ? PX_NOMEM : PX_DECLINED;
+    return layout((const px_glyph *)sc->glyphs.p, sc->glyphs.len / sizeof(px_glyph), sc->chars.p, sc,
+                  text, n_blocks)
+               ? PX_OK
+               : PX_NOMEM;
 }
 
-void px_free(px_page *page)
+void px_scratch_free(px_scratch *sc)
 {
-    free(page->glyphs);
-    free(page->chars);
-    free(page->text);
-    memset(page, 0, sizeof *page);
+    free(sc->glyphs.p);
+    free(sc->chars.p);
+    free(sc->spans.p);
+    free(sc->work.p);
+    free(sc->count.p);
+    memset(sc, 0, sizeof *sc);
 }

@@ -1,12 +1,14 @@
 """Native Stage-A batch (stages/extract_native.c): one call per batch gives
 the same table as the oracle engine (``ExtractActor(html_engine="stdlib")``,
 per row) on mixed batches, its payload-kind sniff equals
-``classify_payload_kind``, and its hand-written SHA-256 (SHA-NI and
-portable) equals hashlib's."""
+``classify_payload_kind``, its hand-written SHA-256 (SHA-NI and
+portable) equals hashlib's, a batch's mis-encoded HTML rows take one more
+call, and a build without the SIMD fast paths gives the same bytes."""
 
 import hashlib
 import random
 
+import numpy as np
 import pyarrow as pa
 import pytest
 from hypothesis import given, settings
@@ -213,6 +215,39 @@ def test_empty_batch():
     assert out.num_rows == 0
 
 
+def test_mis_encoded_html_rows_take_one_more_batch_call(monkeypatch):
+    """A batch's HTML rows that are not valid UTF-8 are repaired and run
+    together: two kernel calls for the whole batch, however many such rows,
+    and the oracle's output."""
+    _kernel()
+    good = f"<title>T</title><p>{PAD}</p>".encode()
+    bad = [f"<title>é{i}\xff</title><p>{PAD} {i}\xfe</p>".encode("latin-1") for i in range(5)]
+    pdf = encode_pdf_glyphs(layout_text_as_glyphs("alpha beta"))
+    image = encode_image_text("ocr text")
+    rs = [(p, lang, None) for p, lang in zip(
+        [good, bad[0], pdf, bad[1], image, bad[2], bad[3], good, bad[4]],
+        ["en", "de", None, "zh", "fr", "xx", "", "EN", None])]
+    calls, rows = [], []
+    extract_batch, extract_one = native.NativeKernel.extract_batch, ExtractActor._extract_one
+
+    def counted_batch(self, html, *args):
+        calls.append(len(html))
+        return extract_batch(self, html, *args)
+
+    def counted_row(self, kind, *args):
+        rows.append(kind)
+        return extract_one(self, kind, *args)
+
+    monkeypatch.setattr(native.NativeKernel, "extract_batch", counted_batch)
+    monkeypatch.setattr(ExtractActor, "_extract_one", counted_row)
+    batch = _batch(rs, kind=False)
+    got = ExtractActor()(batch)
+    assert (calls, rows) == ([len(rs), len(bad)], ["image"])
+    monkeypatch.undo()
+    assert got.equals(per_row(batch))
+    assert got["title"].to_pylist()[:2] == ["T", "\ufffd0\ufffd"]  # latin-1 "é", then \xff
+
+
 # --- SHA-256 --------------------------------------------------------------------
 
 
@@ -229,3 +264,31 @@ def test_sha256_equals_hashlib():
         want = hashlib.sha256(data).hexdigest()
         assert kernel.sha256_hex(data) == want, len(data)
         assert kernel.sha256_hex(data, portable=True) == want, len(data)
+
+
+def test_scalar_build_gives_the_same_bytes(tmp_path):
+    """The library built with -DXB_NO_SIMD, the scalar loops alone, gives
+    byte-identical batch outputs on the seed-7 crawl_mix rows and on the
+    fast paths' boundary cases, as the portable SHA-256 does above."""
+    from perfbench.gen import crawl_pages
+    from test_html_native import boundary_cases
+    from test_pdf_native import compact_boundary_bodies
+
+    kernel = _kernel()
+    so = tmp_path / "scalar.so"
+    native.build(str(so), native.compiler(), native.CFLAGS + ("-DXB_NO_SIMD",))
+    scalar = native.NativeKernel(str(so))
+    pages = crawl_pages(7, 6000, "crawl_mix")["html"].to_pylist()
+    html = [(doc.encode("utf-8"), min_len, pct) for doc, min_len, pct in boundary_cases()]
+    rows = [(p, 25, 33) for p in pages] + html + [(HEAD + b, 0, 0) for b, _ in compact_boundary_bodies()]
+    payloads = pa.array([r[0] for r in rows], pa.large_binary())
+    outputs = []
+    for k in (kernel, scalar):
+        kinds = np.full(len(rows), -1, np.int8)  # sniffed
+        res = k.extract_batch(payloads, kinds, np.array([r[1] for r in rows]), np.array([r[2] for r in rows]))
+        outputs.append([kinds, res.text, res.title, res.n_blocks, res.status, res.is_blank, res.flagged,
+                        res.sha])
+    assert (outputs[0][0] >= 0).all()
+    for name, simd, plain in zip(("kind", "text", "title", "n_blocks", "status", "is_blank", "flagged",
+                                  "sha"), *outputs):
+        assert simd.equals(plain) if isinstance(simd, pa.Array) else np.array_equal(simd, plain), name

@@ -1,10 +1,11 @@
 """Native HTML kernel (stages/html_native.c), reached through the batch
 call as ``extract_html_fused`` does: equality with the oracle
-(``extract_html_with_title``) on Unicode and tokenizer edge cases,
-near-linear cost on large and adversarial pages, and the build: warnings
+(``extract_html_with_title``) on Unicode and tokenizer edge cases and at
+the edges of the kernel's fast paths, near-linear cost on large and adversarial pages, and the build: warnings
 as errors, a sanitizer run, no silent fallback, a forced fallback (to the
 oracle), a corrupt cache and the pruning of superseded libraries."""
 
+import html
 import os
 import subprocess
 import sys
@@ -158,13 +159,94 @@ def test_whatwg_decisions(doc, want):
     assert extract_html_fused(doc) == want
 
 
+# --- fast-path boundaries: native == oracle -----------------------------------
+
+# What ends a run of single-spaced ASCII words (html_native.c word_run): a
+# second space, '&' (a character reference or not), the ASCII controls
+# str.isspace holds, the non-ASCII spaces, and other controls and non-ASCII
+# characters, which the run does not take though they are no space
+RUN_BREAKS = ["  ", " ", "&", "&amp;", "&#32;", "\x0b", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+              "\xa0", "　", "\x00", "é"]
+TAG_MAX = max(map(len, _EVENT_TAGS))
+
+
+def _tag_slot(name: str) -> int:
+    """html_native.c's tag_hash of a lowercase name (HX_TAG_SLOTS = 128)."""
+    return (ord(name[0]) * 7 + ord(name[-1]) * 3 + len(name) * 5) & 127
+
+
+def _mixed_case(name: str, seed: int) -> str:
+    return "".join(c.upper() if (seed >> (i % 16)) & 1 else c for i, c in enumerate(name))
+
+
+def tag_names() -> list[str]:
+    """Names of 1 to TAG_MAX + 1 characters in mixed case: every tag, the
+    tags one character longer or shorter, and names that are no tag but
+    share a hash slot with one (the slot tag_lookup probes first)."""
+    slots = {_tag_slot(t) for t in _EVENT_TAGS}
+    names = set(_EVENT_TAGS)
+    names |= {t + "x" for t in _EVENT_TAGS} | {t[:-1] for t in _EVENT_TAGS if len(t) > 1}
+    names |= {t[0] + "z" * (len(t) - 2) + t[-1] for t in _EVENT_TAGS if len(t) > 2}  # same hash
+    alphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
+    short = [a + b for a in alphabet[:26] for b in alphabet] + list(alphabet[:26])
+    names |= {n for n in short if _tag_slot(n) in slots}
+    names |= {"q" * length for length in range(1, TAG_MAX + 2)}
+    names |= {"blockquotes", "figcaptions", "h7", "h0", "dıv", "p-x", "tr\x0b"}
+    return sorted(_mixed_case(n, i) for i, n in enumerate(sorted(names)))
+
+
+def boundary_cases() -> list[tuple[str, int, int]]:
+    """(doc, min_len, max_link_pct) at the edges of the HTML fast paths:
+    text runs of 1-40 bytes around the 16-byte chunk, each with a break at
+    every offset, at the end of the document and inside a title and a
+    link (with the link-density rule on its edge, so a link length off by
+    one flips the block); and every name of ``tag_names``."""
+    base = "ab cde f ghij klmnopq rs t uvw xyz "
+    cases = []
+    for length in range(1, 41):
+        run = (base * 2)[:length]
+        for at in range(length + 1):
+            for brk in RUN_BREAKS:
+                text = run[:at] + brk + run[at:]
+                cases.append((f"<p>{text}", 0, 100))
+                words = len(" ".join(html.unescape(text).split()))
+                doc = f"<title>{text}</title><p>x <a>{text}</a> y</p>"
+                edge = -(-100 * words // (words + 4)) if words else 0  # the least pct that keeps it
+                cases += [(doc, 0, edge), (doc, 0, max(edge - 1, 0))]
+    for name in tag_names():
+        cases.append((f"<{name}>{PAD}</{name.swapcase()}><{name} class=nav>{PAD}<{name}/>{PAD}", 25, 33))
+    return cases
+
+
+def test_fast_paths_equal_the_oracle_at_their_boundaries():
+    kernel = html_native.load()
+    if kernel is None:
+        pytest.skip("native kernel unavailable on this host")
+    cases = boundary_cases()
+    res = kernel.extract_batch(
+        pa.array([doc.encode("utf-8") for doc, _, _ in cases], pa.large_binary()),
+        np.zeros(len(cases), np.int8), np.array([c[1] for c in cases]), np.array([c[2] for c in cases]))
+    got = zip(res.text.to_pylist(), res.n_blocks.tolist(), res.title.to_pylist())
+    for (doc, min_len, max_link_pct), row in zip(cases, got):
+        assert row == extract_html_with_title(doc, min_len, max_link_pct), (doc, min_len, max_link_pct)
+
+
+def test_tag_names_cover_hash_collisions():
+    """Some names are no tag yet land in a tag's hash slot, and the
+    lengths run past the longest tag."""
+    names = {n.lower() for n in tag_names()}
+    slots = {_tag_slot(t) for t in _EVENT_TAGS}
+    assert len({n for n in names - _EVENT_TAGS if _tag_slot(n) in slots}) > 100
+    assert {len(n) for n in names} >= set(range(1, TAG_MAX + 2))
+
+
 # --- near-linear cost on large and adversarial pages ------------------------
 
 
 def adversarial(scale: int) -> dict[str, str]:
     """Inputs whose size grows linearly with ``scale`` (scale 4 is the full
     size: 4 MB pages, 50k-deep nesting, 1 MB unterminated comment and
-    script, a tag with 100k attributes)."""
+    script, a tag with 100k attributes, a 1 MB single-spaced paragraph)."""
     page = (
         '<div class="article"><h1>Heading</h1><p>' + PAD + ' &amp; <a href="/x">link</a>'
         "</p><nav><a>menu</a></nav><script>var x = 1 < 2;</script></div>\n"
@@ -179,6 +261,7 @@ def adversarial(scale: int) -> dict[str, str]:
         "attrs": "<div " + " ".join(f'a{i}="v"' for i in range(25_000 * scale)) + ' class="nav">' + PAD,
         "open_quotes": '<a "' * (62_500 * scale),
         "long_entities": ("&" + "x" * 40 + " ") * (6_000 * scale),
+        "paragraph": "<p>" + " ".join(["word"] * (50_000 * scale)),  # one run of words
     }
 
 
@@ -303,7 +386,7 @@ from ai_service_ocr_grading_handler_ray.stages.classify import KINDS, classify_p
 from ai_service_ocr_grading_handler_ray.stages.html_extract import extract_html_fused, extract_html_with_title
 from ai_service_ocr_grading_handler_ray.stages.native import NativeKernel
 from ai_service_ocr_grading_handler_ray.synth import docs_to_pages
-from test_html_native import EDGE_CASES, adversarial
+from test_html_native import EDGE_CASES, adversarial, boundary_cases
 
 kernel = NativeKernel(sys.argv[1])
 ffi, lib = kernel._ffi, kernel._lib
@@ -353,6 +436,10 @@ for doc in docs:
     for cut in range(0, len(raw), max(1, len(raw) // 7)):  # and ~7 prefixes of each
         raw_rows(raw[:cut])
     raw_rows(raw)
+# the fast paths' edges, each document ending where its buffer does, so a
+# 16-byte load past the end of the payload hits a redzone
+for doc, min_len, max_link_pct in boundary_cases():
+    batch_call([doc.encode("utf-8")], [0], min_len=min_len, max_link_pct=max_link_pct)
 rng = random.Random(0)  # invalid UTF-8 everywhere
 for i in range(3000):
     raw = bytes(rng.randrange(256) for _ in range(rng.randrange(64)))

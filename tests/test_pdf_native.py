@@ -2,8 +2,9 @@
 batch call on one-row batches: equality with the Python glyph decode +
 XY-cut (the oracle) on random pages, every input class the kernel
 declines (the batch flags the row and the Python path runs), generated
-glyph JSON in and out of the kernel's subset, near-linear cost on a
-growing scan, a sanitizer run, no silent fallback, a forced fallback, and
+glyph JSON in and out of the kernel's subset, glyphs just off the compact
+form its fast path reads, near-linear cost on a growing scan and a long
+line, a sanitizer run, no silent fallback, a forced fallback, and
 the two row failures it fixed (a lone-surrogate glyph failing its whole
 batch, a deep cut tree becoming an error row)."""
 
@@ -294,6 +295,66 @@ def test_glyph_json_outside_the_subset_is_flagged(case):
     _assert_engines_agree([payload])
 
 
+# --- the compact-glyph fast path at its edges ------------------------------------
+
+COMPACT = '[12,340,6,10,"a"]'
+# (field, inside the subset) just off the compact form; the compact glyph
+# is [12,340,6,10,"a"]
+_COORDS = [("0", True), ("7", True), ("999999999", True), ("1000000000", True),
+           (str(2**30 - 1), True), (" 12", True), ("12 ", True), ("\n12\t", True),
+           ("01", False), ("00", False), ("-0", False), ("-1", False), ("+1", False),
+           ("1.0", False), ("0.5", False), ("1e2", False), ("1E2", False), (str(2**30), False),
+           (str(10**10), False), ("true", False), ("null", False), ('"1"', False), ("", False)]
+_TEXTS = [('""', True), ('" "', True), ('"ab"', True), ('"' + "x" * 40 + '"', True),
+          ('"\x7f"', True), ('"é"', True), ('"😀"', True), ('"a b"', True), ('"\\n"', True),
+          ('"\\u0041"', True), ('"\\""', True), ('"\\\\"', True), ('"\\/"', True),
+          ('"\\ud83d\\ude00"', True), (' "a"', True), ('"a" ', True),
+          ('"a\x01"', False), ('"\\ud800"', False), ('"\\x41"', False), ('"a', False), ("a", False),
+          ("5", False), ('"a"]', False)]
+
+
+def compact_variants() -> list[tuple[str, bool]]:
+    """Glyphs one field off the compact form, and whether the strict
+    decoder accepts them."""
+    x, y, w, h = "12", "340", "6", "10"
+    out = [(COMPACT, True), ("[ " + COMPACT[1:], True), (COMPACT[:-1] + " ]", True),
+           # the longest coordinates: read up to the last byte the fast path reads unchecked
+           ('[999999999,999999999,999999999,999999999,"a"]', True),
+           ('[999999999,999999999,999999999,1000000000,"a"]', True),
+           ('[12,340,6,10]', False), ('[12,340,6,10,"a","b"]', False), ('[12,340,6,10,"a",]', False)]
+    for field in range(4):
+        for value, inside in _COORDS:
+            coords = [x, y, w, h]
+            coords[field] = value
+            out.append(("[" + ",".join(coords) + ',"a"]', inside))
+    out += [(f"[{x},{y},{w},{h},{text}]", inside) for text, inside in _TEXTS]
+    return out
+
+
+def compact_boundary_bodies() -> list[tuple[bytes, bool]]:
+    """Glyph JSON bodies with each variant first, last, between compact
+    glyphs and alone, followed by 0 to 47 bytes of whitespace, so that it
+    ends on either side of the 42 bytes the fast path reads unchecked."""
+    bodies = []
+    for glyph, inside in compact_variants():
+        for page in ([glyph], [COMPACT, glyph], [glyph, COMPACT], [COMPACT, glyph, COMPACT]):
+            for pad in range(48):
+                bodies.append((("[" + ",".join(page) + "]" + " " * pad).encode("utf-8"), inside))
+    return bodies
+
+
+def test_compact_glyphs_decode_or_decline_as_the_strict_decoder():
+    cases = compact_boundary_bodies()
+    res = _kernel().extract_batch(pa.array([HEAD + b for b, _ in cases], pa.large_binary()),
+                                  np.full(len(cases), KINDS.index("pdf"), np.int8),
+                                  np.zeros(len(cases), np.int64), np.zeros(len(cases), np.int64))
+    got = zip(res.flagged.tolist(), res.text.to_pylist(), res.n_blocks.tolist())
+    for (body, inside), (flagged, text, n_blocks) in zip(cases, got):
+        assert flagged != inside, body
+        if inside:
+            assert (text, n_blocks) == _run(HEAD + body), body
+
+
 # --- cost, build and fallback ----------------------------------------------------
 
 
@@ -317,6 +378,15 @@ def test_native_kernel_cost_is_near_linear():
     small, big = _scan(6_000), _scan(28_000)
     assert 28_000 < len(decode_pdf_glyphs(small)) < 32_000
     assert 135_000 < len(decode_pdf_glyphs(big)) < 145_000
+    t_small, t_big = _best_times([small, big])
+    assert t_big / t_small <= 6, (t_small, t_big)
+
+
+def test_compact_page_cost_is_near_linear():
+    """One line of compact glyphs, all read by the fast path: 5,000 and
+    20,000 glyphs."""
+    small, big = (encode_pdf_glyphs([(6 * i, 0, 6, 10, "x") for i in range(n)]) for n in (5_000, 20_000))
+    assert _batch_row(big) == ("x" * 20_000, 1)
     t_small, t_big = _best_times([small, big])
     assert t_big / t_small <= 6, (t_small, t_big)
 
@@ -347,7 +417,8 @@ from ai_service_ocr_grading_handler_ray.stages.classify import KINDS
 from ai_service_ocr_grading_handler_ray.stages.native import NativeKernel
 from ai_service_ocr_grading_handler_ray.stages.pdf_layout import parse_pdf_layout
 from perfbench.gen import crawl_pages
-from test_pdf_native import ACCEPTED, DECLINED, DECLINED_BYTES, HEAD, _bands
+from test_pdf_native import (ACCEPTED, COMPACT, DECLINED, DECLINED_BYTES, HEAD, _bands,
+                             compact_boundary_bodies, compact_variants)
 
 kernel = NativeKernel(sys.argv[1])
 ffi, lib = kernel._ffi, kernel._lib
@@ -384,6 +455,14 @@ for raw in bodies:
     for cut in range(0, len(raw), max(1, len(raw) // 7)):  # and ~7 prefixes of each
         row_call(HEAD + raw[:cut])
     row_call(HEAD + raw)
+# the compact fast path's edges: each body whole, and a compact glyph then
+# each variant cut at every byte of its last 50
+for body, _ in compact_boundary_bodies():
+    row_call(HEAD + body)
+for glyph, _ in compact_variants():
+    raw = ("[" + COMPACT + "," + glyph + "]").encode("utf-8")
+    for cut in range(max(0, len(raw) - 50), len(raw)):
+        row_call(HEAD + raw[:cut])
 rng = random.Random(0)
 alphabet = b'[],"\\u0123456789 ade\xc3\xa9\xed\xa0\x80\xf0\x9f\x98\x80\n'
 for _ in range(5000):
