@@ -16,10 +16,10 @@ buffers, sniffs each row's kind when the batch has none (as
 ``classify.classify_payload_kind`` does) and extracts every HTML and PDF
 row, with each row's status, ``is_blank`` and SHA-256 digest; its text and
 title buffers become the output columns without a per-row Python object.
-The rows it flags are finished in Python.  HTML that is not valid UTF-8
-is repaired with Python's ``errors="replace"`` decode (the one definition
-of the repair), and all of a batch's repaired rows go through ONE more
-batch call.  Image rows (OCR) and PDFs without the glyph marker or that
+The rows it flags are finished in Python.  A batch's HTML rows that are
+not valid UTF-8 go through ONE more batch call, ``NativeKernel.
+extract_html``, which repairs them with Python's ``errors="replace"``
+decode first.  Image rows (OCR) and PDFs without the glyph marker or that
 the PDF kernel declines (the Python decoder and XY-cut) run per row,
 through ``ExtractActor._extract_one`` and ``sha256_hex``.  The oracle engine
 (``html_engine="stdlib"``), and the production one on a host without a
@@ -188,9 +188,9 @@ class ExtractActor:
     def _extract_native(self, kernel: native.NativeKernel, batch: pa.Table) -> list[pa.Array]:
         """The same columns from one ``kernel.extract_batch`` call, which
         sniffs the kinds when the batch has none.  Of the rows it flags,
-        the HTML ones (not valid UTF-8) are repaired and run together in
-        one more batch call; the rest (images, PDFs it declines) go
-        through ``_extract_one``."""
+        the HTML ones (not valid UTF-8) run together in one
+        ``kernel.extract_html`` call, which repairs them; the rest (images,
+        PDFs it declines) go through ``_extract_one``."""
         n = len(batch)
         html = single_array(batch["html"].cast(pa.large_binary()))
         if html.null_count:
@@ -200,7 +200,7 @@ class ExtractActor:
             kinds = pc.index_in(kind_col, value_set=_KINDS).fill_null(KINDS.index("error"))
             kinds = np.array(kinds.to_numpy(), np.int8)
         else:
-            kind_col, kinds = None, np.full(n, -1, np.int8)  # the kernel sniffs
+            kind_col, kinds = None, np.full(n, native.SNIFF, np.int8)
         min_len, max_link_pct = self._thresholds(batch)
         res = kernel.extract_batch(html, kinds, min_len, max_link_pct)
         if kind_col is None:
@@ -213,13 +213,8 @@ class ExtractActor:
             texts, titles = [""] * len(rows), [""] * len(rows)
             is_html = kinds[rows] == _HTML
             if is_html.any():
-                # Python's errors="replace" decode is the one definition of
-                # the repair; the repaired rows are valid UTF-8
                 at, repaired = rows[is_html], np.flatnonzero(is_html)
-                again = kernel.extract_batch(
-                    pa.array([payloads[j].decode("utf-8", "replace").encode() for j in repaired],
-                             pa.large_binary()),
-                    kinds[at], min_len[at], max_link_pct[at])
+                again = kernel.extract_html([payloads[j] for j in repaired], min_len[at], max_link_pct[at])
                 for name in ("n_blocks", "status", "is_blank", "sha"):
                     getattr(res, name)[at] = getattr(again, name)
                 for j, t, ti in zip(repaired, again.text.to_pylist(), again.title.to_pylist()):

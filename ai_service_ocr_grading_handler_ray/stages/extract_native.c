@@ -4,9 +4,11 @@
  * (int64 offsets into one data buffer), with one kind code and one pair
  * of HTML thresholds per row, and does for each row what
  * stages/extract.py's per-row path does in Python:
- * - kind -1: sniff the payload's kind as classify.classify_payload_kind
- *   does and write its code back into `kinds`;
- * - html: hx_append (html_native.c) when the payload is valid UTF-8;
+ * - kind XB_SNIFF: sniff the payload's kind as
+ *   classify.classify_payload_kind does and write its code back into
+ *   `kinds`;
+ * - html: hx_append (html_native.c) when the payload is valid UTF-8
+ *   (utf8_valid, by native.h's utf8_len);
  * - pdf: px_extract (pdf_native.c) on the glyph JSON after the marker;
  * - blank and error: an empty text;
  * then the row's status, is_blank (every code point str.isspace) and the
@@ -15,15 +17,19 @@
  * caller's arrays, one entry per row (64 bytes for a digest).
  *
  * Some rows are flagged and left empty, and the caller extracts them in
- * Python: kind XB_PYTHON (images: OCR), HTML that is not valid UTF-8
+ * Python: images (OCR), HTML that is not valid UTF-8
  * (Python's errors="replace" decode is the one definition of its repair),
  * and PDFs without the glyph marker or that px_extract declines.
  *
  * The SHA-256 follows FIPS 180-4; the build gains no library.  On x86-64
  * with GCC or Clang a second block function uses the SHA extensions
  * (SHA-NI), chosen once at load time when the CPU has them.
- * pdf_native_tables.h carries payloads.py's magic bytes and glyph marker
- * and classify.py's sniff window.
+ * pdf_native_tables.h carries payloads.py's magic bytes and glyph marker,
+ * classify.py's sniff window and the kind and status codes: XB_<KIND> is
+ * the index of the kind in classify.KINDS, XB_SNIFF is native.SNIFF and
+ * XB_S_<STATUS> the index of the status in native.BATCH_STATUSES.  The
+ * exported functions are declared in native.h's export block, which is
+ * also cffi's binding.
  */
 
 #include <stdlib.h>
@@ -36,11 +42,6 @@
 #include <immintrin.h>
 #define XB_SHA_NI 1
 #endif
-
-/* kind codes: the order of classify.KINDS; XB_SNIFF asks for the sniff */
-enum { XB_SNIFF = -1, XB_HTML = 0, XB_PDF = 1, XB_PYTHON = 2, XB_BLANK = 3, XB_ERROR = 4 };
-/* status codes: the order of native.BATCH_STATUSES */
-enum { XB_S_OK = 0, XB_S_BLANK = 1, XB_S_ERROR = 2 };
 
 /* ---- SHA-256 (FIPS 180-4) ---------------------------------------------- */
 
@@ -188,15 +189,12 @@ void xb_sha256_hex_portable(const char *s, size_t n, char *hex)
 
 /* ---- one row -------------------------------------------------------------- */
 
-/* bytes.decode("utf-8") would succeed: no overlong forms, surrogates or
- * code points above U+10FFFF. */
+/* bytes.decode("utf-8") would succeed: every sequence is utf8_len's. */
 static int utf8_valid(const unsigned char *s, size_t n)
 {
-    size_t i = 0;
+    size_t i = 0, len;
     while (i < n) {
-        unsigned char c = s[i], lo = 0x80, hi = 0xBF;
-        size_t len, k;
-        if (c < 0x80) { /* ASCII: 16 (SSE2) or eight bytes at a time */
+        if (s[i] < 0x80) { /* ASCII: 16 (SSE2) or eight bytes at a time */
             uint64_t w;
             i++;
 #ifdef NATIVE_SSE2
@@ -215,24 +213,8 @@ static int utf8_valid(const unsigned char *s, size_t n)
             }
             continue;
         }
-        if (c >= 0xC2 && c <= 0xDF) {
-            len = 2;
-        } else if (c >= 0xE0 && c <= 0xEF) {
-            len = 3;
-            lo = c == 0xE0 ? 0xA0 : 0x80;
-            hi = c == 0xED ? 0x9F : 0xBF;
-        } else if (c >= 0xF0 && c <= 0xF4) {
-            len = 4;
-            lo = c == 0xF0 ? 0x90 : 0x80;
-            hi = c == 0xF4 ? 0x8F : 0xBF;
-        } else {
+        if (!(len = utf8_len(s + i, n - i)))
             return 0;
-        }
-        if (n - i < len || s[i + 1] < lo || s[i + 1] > hi)
-            return 0;
-        for (k = 2; k < len; k++)
-            if ((s[i + k] & 0xC0) != 0x80)
-                return 0;
         i += len;
     }
     return 1;
@@ -267,7 +249,7 @@ static int8_t sniff(const char *doc, size_t n)
     if (HAS(0, PX_PDF_MAGIC))
         return XB_PDF;
     if (HAS(0, XB_PNG_MAGIC) || (HAS(0, XB_WEBP_RIFF) && HAS(XB_WEBP_TAG_AT, XB_WEBP_TAG)))
-        return XB_PYTHON;
+        return XB_IMAGE;
     if (memchr(doc, '<', n < XB_HTML_WINDOW ? n : XB_HTML_WINDOW))
         return XB_HTML;
     return XB_ERROR;

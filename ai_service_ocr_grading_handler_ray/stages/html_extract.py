@@ -11,10 +11,10 @@ Engines (one production engine, one independent oracle):
 - production: one fused tokenizer + classifier in C, ``html_native.c``,
   built on first use (see ``native.py``) and reached only through the
   batch call ``NativeKernel.extract_batch``.  Stage A runs it on every
-  valid-UTF-8 HTML row of a batch at once; ``extract_html_fused`` runs one
-  page as a one-row batch (the rows the batch call flags, which are not
-  valid UTF-8, come back through it repaired).  Where the kernel cannot be
-  built, the oracle runs instead.
+  valid-UTF-8 HTML row of a batch at once, and on the batch's other HTML
+  rows in one more call, repaired (``NativeKernel.extract_html``);
+  ``extract_html_fused`` runs one page as a one-row ``extract_html``
+  call.  Where the kernel cannot be built, the oracle runs instead.
 - ``extract_html_with_title`` (oracle): ``_BlockCollector``, an
   ``html.parser.HTMLParser`` whose tokenizer decisions are its own: it
   overrides every markup scan of the stdlib parser and keeps only its
@@ -68,9 +68,6 @@ import re
 import string
 from html import unescape
 from html.parser import HTMLParser
-
-import numpy as np
-import pyarrow as pa
 
 from . import native
 
@@ -363,16 +360,15 @@ def extract_html_fused(
 ) -> tuple[str, int, str]:
     """Production HTML engine: ``(extracted_text, n_kept_blocks, title)``.
 
-    Runs the native kernel as a one-row ``NativeKernel.extract_batch``
-    call, on the payload (a ``str`` as its ``surrogatepass`` UTF-8 bytes)
-    repaired by Python's ``decode("utf-8", "replace")``.  Where the kernel
-    cannot be built, or cannot carry the thresholds, runs the oracle
+    Runs the native kernel as a one-row ``NativeKernel.extract_html``
+    call, which repairs the payload (a ``str`` as its ``surrogatepass``
+    UTF-8 bytes) as the oracle does.  Where the kernel cannot be built, or
+    cannot carry the thresholds, runs the oracle
     ``extract_html_with_title``, which gives the same output."""
     if isinstance(payload, str):
         payload = payload.encode("utf-8", "surrogatepass")
     kernel = native.load()
     if kernel is None or not kernel.accepts(min_len, max_link_pct):
         return extract_html_with_title(payload, min_len, max_link_pct)
-    html = pa.array([payload.decode("utf-8", "replace").encode()], pa.large_binary())
-    res = kernel.extract_batch(html, np.zeros(1, np.int8), np.array([min_len]), np.array([max_link_pct]))
+    res = kernel.extract_html([payload], [min_len], [max_link_pct])
     return res.text[0].as_py(), int(res.n_blocks[0]), res.title[0].as_py()

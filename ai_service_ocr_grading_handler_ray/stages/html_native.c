@@ -16,8 +16,10 @@
  *
  * The function is total: any byte string is accepted, every read is
  * bounded by the input length and every write goes through a growing
- * buffer.  Input that is not valid UTF-8 (xb_extract flags such rows and
- * never passes any) is read one byte per code point.
+ * buffer.  UTF-8 is decoded and encoded by native.h's utf8_dec and
+ * utf8_enc; a byte that starts no well-formed sequence would be read as
+ * one U+FFFD, but xb_extract flags rows that are not valid UTF-8 and never
+ * passes any.
  *
  * Fast paths.  The scalar loops are the one definition: each fast path
  * only skips input that its loop would treat the same way, and hands back
@@ -91,57 +93,6 @@ int hx_reserve(hx_buf *b, size_t extra)
 
 /* ---- Unicode ---------------------------------------------------------- */
 
-static int is_cont(unsigned char c) { return (c & 0xC0) == 0x80; }
-
-/* Decode one code point from s[0..avail), avail >= 1; returns its length. */
-static size_t dec(const unsigned char *s, size_t avail, uint32_t *cp)
-{
-    unsigned char c = s[0];
-    if (c < 0x80) {
-        *cp = c;
-        return 1;
-    }
-    if (c >= 0xC2 && c <= 0xDF && avail >= 2 && is_cont(s[1])) {
-        *cp = ((uint32_t)(c & 0x1F) << 6) | (s[1] & 0x3Fu);
-        return 2;
-    }
-    if (c >= 0xE0 && c <= 0xEF && avail >= 3 && is_cont(s[1]) && is_cont(s[2])) {
-        *cp = ((uint32_t)(c & 0x0F) << 12) | ((uint32_t)(s[1] & 0x3F) << 6) | (s[2] & 0x3Fu);
-        return 3;
-    }
-    if (c >= 0xF0 && c <= 0xF4 && avail >= 4 && is_cont(s[1]) && is_cont(s[2]) && is_cont(s[3])) {
-        *cp = ((uint32_t)(c & 0x07) << 18) | ((uint32_t)(s[1] & 0x3F) << 12) |
-              ((uint32_t)(s[2] & 0x3F) << 6) | (s[3] & 0x3Fu);
-        return 4;
-    }
-    *cp = 0xFFFD;
-    return 1;
-}
-
-static size_t enc(uint32_t cp, unsigned char *out)
-{
-    if (cp < 0x80) {
-        out[0] = (unsigned char)cp;
-        return 1;
-    }
-    if (cp < 0x800) {
-        out[0] = (unsigned char)(0xC0 | (cp >> 6));
-        out[1] = (unsigned char)(0x80 | (cp & 0x3F));
-        return 2;
-    }
-    if (cp < 0x10000) {
-        out[0] = (unsigned char)(0xE0 | (cp >> 12));
-        out[1] = (unsigned char)(0x80 | ((cp >> 6) & 0x3F));
-        out[2] = (unsigned char)(0x80 | (cp & 0x3F));
-        return 3;
-    }
-    out[0] = (unsigned char)(0xF0 | (cp >> 18));
-    out[1] = (unsigned char)(0x80 | ((cp >> 12) & 0x3F));
-    out[2] = (unsigned char)(0x80 | ((cp >> 6) & 0x3F));
-    out[3] = (unsigned char)(0x80 | (cp & 0x3F));
-    return 4;
-}
-
 static int in_sorted(const uint32_t *xs, size_t n, uint32_t cp)
 {
     size_t lo = 0, hi = n;
@@ -178,8 +129,6 @@ static int letter_match(uint32_t cp, char c)
 }
 
 static int is_alpha(unsigned char c) { return (unsigned char)((c | 0x20) - 'a') < 26; }
-static int is_digit(unsigned char c) { return (unsigned char)(c - '0') < 10; }
-static int is_xdigit(unsigned char c) { return is_digit(c) || (unsigned char)((c | 0x20) - 'a') < 6; }
 
 /* ---- normalising text sink -------------------------------------------- */
 
@@ -241,7 +190,7 @@ static void sink_utf8(hx_sink *k, const char *s, size_t n)
     size_t i = 0;
     while (i < n) {
         uint32_t cp;
-        size_t l = dec(u + i, n - i, &cp);
+        size_t l = utf8_dec(u + i, n - i, &cp);
         sink_cp(k, cp, u + i, l);
         i += l;
     }
@@ -283,13 +232,11 @@ static void emit_numeric(hx_sink *k, uint32_t num)
         else
             hi = mid;
     }
-    if ((num >= 0xD800 && num <= 0xDFFF) || num > 0x10FFFF) {
-        sink_utf8(k, "\xEF\xBF\xBD", 3);
+    if ((num >= 0xD800 && num <= 0xDFFF) || num > 0x10FFFF)
+        num = 0xFFFD;
+    else if (in_sorted(HX_INVALID_CODEPOINTS, HX_N_INVALID_CODEPOINTS, num))
         return;
-    }
-    if (in_sorted(HX_INVALID_CODEPOINTS, HX_N_INVALID_CODEPOINTS, num))
-        return;
-    sink_cp(k, num, tmp, enc(num, tmp));
+    sink_cp(k, num, tmp, utf8_enc(num, tmp));
 }
 
 /* s[i] == '&'.  Decode the character reference html.unescape would
@@ -313,12 +260,9 @@ static size_t charref(hx_sink *k, const unsigned char *s, size_t i, size_t limit
         } else if (!(d < limit && is_digit(s[d]))) {
             goto literal;
         }
-        for (; d < limit && (hex ? is_xdigit(s[d]) : is_digit(s[d])); d++) {
-            if (num <= 0x10FFFF) {
-                unsigned v = is_digit(s[d]) ? (unsigned)(s[d] - '0') : (unsigned)((s[d] | 0x20) - 'a' + 10);
-                num = num * (hex ? 16u : 10u) + v;
-            }
-        }
+        for (; d < limit && (hex ? is_xdigit(s[d]) : is_digit(s[d])); d++)
+            if (num <= 0x10FFFF)
+                num = num * (hex ? 16u : 10u) + xdigit_value(s[d]);
         if (d < limit && s[d] == ';')
             d++;
         emit_numeric(k, num);
@@ -330,11 +274,11 @@ static size_t charref(hx_sink *k, const unsigned char *s, size_t i, size_t limit
     ascii = 0;
     while (r < limit && count < 32) {
         uint32_t cp;
-        size_t l = dec(s + r, limit - r, &cp);
+        size_t l = utf8_dec(s + r, limit - r, &cp);
         if (cp == '\t' || cp == '\n' || cp == '\f' || cp == ' ' || cp == '<' || cp == '&' ||
             cp == '#' || cp == ';')
             break;
-        if (cp >= 0x80 || l != 1)
+        if (cp >= 0x80)
             all_ascii = 0;
         if (all_ascii)
             ascii++;
@@ -429,7 +373,7 @@ static void emit_text(hx_sink *k, const unsigned char *s, size_t a, size_t b, si
             i = l;
             continue;
         }
-        l = dec(s + i, b - i, &cp);
+        l = utf8_dec(s + i, b - i, &cp);
         sink_cp(k, cp, s + i, l);
         i += l;
     }
@@ -551,7 +495,7 @@ static int boiler_value(const unsigned char *s, size_t a, size_t b)
         uint32_t cp = ' ';
         size_t l = 0;
         if (i < b)
-            l = dec(s + i, b - i, &cp);
+            l = utf8_dec(s + i, b - i, &cp);
         if (i >= b || is_space(cp) || cp == '_' || cp == '-') {
             if (!too_long && len)
                 for (w = 0; w < HX_N_BOILER_WORDS; w++) {
@@ -915,7 +859,7 @@ int hx_blank(const char *s, size_t n)
     size_t i = 0;
     while (i < n) {
         uint32_t cp;
-        size_t l = dec(u + i, n - i, &cp);
+        size_t l = utf8_dec(u + i, n - i, &cp);
         if (!is_space(cp))
             return 0;
         i += l;

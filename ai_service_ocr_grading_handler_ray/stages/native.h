@@ -1,7 +1,16 @@
-/* Declarations shared by the three kernel sources (html_native.c,
- * pdf_native.c, extract_native.c), which native.py compiles into one
- * library.  The cffi declarations in native.py repeat the exported ones;
- * NATIVE_INTERNAL ones are called only from within the library. */
+/* What the three kernel sources (html_native.c, pdf_native.c,
+ * extract_native.c) share, each stated once; native.py compiles them into
+ * one library.
+ * - UTF-8: the well-formed sequences, decoding and encoding (utf8_len,
+ *   utf8_dec, utf8_enc), and the digit tests.  No kernel spells out a
+ *   UTF-8 byte range of its own.
+ * - The library's exports: native.py hands cffi the block between the
+ *   NATIVE_EXPORTS markers, so the binding is this header.
+ *   NATIVE_INTERNAL functions are called only from within the library.
+ * - The payload kind codes (XB_HTML, XB_PDF, ..., XB_SNIFF) and the status
+ *   codes (XB_S_OK, ...) are not here: native.py generates them into
+ *   pdf_native_tables.h from classify.KINDS, native.SNIFF and
+ *   native.BATCH_STATUSES. */
 
 #ifndef NATIVE_H
 #define NATIVE_H
@@ -20,6 +29,72 @@
 #include <emmintrin.h>
 #define NATIVE_SSE2 1
 #endif
+
+/* ---- UTF-8 and digits ---------------------------------------------------- */
+
+/* The length of the well-formed UTF-8 sequence at s[0..avail), avail >= 1,
+ * or 0 when none starts there: the sequences bytes.decode("utf-8")
+ * accepts, so no overlong forms, surrogates or code points above
+ * U+10FFFF. */
+static inline size_t utf8_len(const unsigned char *s, size_t avail)
+{
+    unsigned char c = s[0], lo = 0x80, hi = 0xBF;
+    size_t len, k;
+    if (c < 0x80)
+        return 1;
+    if (c >= 0xC2 && c <= 0xDF) {
+        len = 2;
+    } else if (c >= 0xE0 && c <= 0xEF) {
+        len = 3;
+        lo = c == 0xE0 ? 0xA0 : 0x80;
+        hi = c == 0xED ? 0x9F : 0xBF;
+    } else if (c >= 0xF0 && c <= 0xF4) {
+        len = 4;
+        lo = c == 0xF0 ? 0x90 : 0x80;
+        hi = c == 0xF4 ? 0x8F : 0xBF;
+    } else {
+        return 0;
+    }
+    if (avail < len || s[1] < lo || s[1] > hi)
+        return 0;
+    for (k = 2; k < len; k++)
+        if ((s[k] & 0xC0) != 0x80)
+            return 0;
+    return len;
+}
+
+/* Decode the code point at s[0..avail), avail >= 1, into *cp and return
+ * its length.  A byte that starts no well-formed sequence is U+FFFD, one
+ * byte long. */
+static inline size_t utf8_dec(const unsigned char *s, size_t avail, uint32_t *cp)
+{
+    static const unsigned char lead_bits[5] = {0, 0x7F, 0x1F, 0x0F, 0x07};
+    size_t len = utf8_len(s, avail), k;
+    if (!len) {
+        *cp = 0xFFFD;
+        return 1;
+    }
+    *cp = s[0] & lead_bits[len];
+    for (k = 1; k < len; k++)
+        *cp = *cp << 6 | (s[k] & 0x3Fu);
+    return len;
+}
+
+/* Encode the code point cp <= U+10FFFF into out[0..4); returns its length. */
+static inline size_t utf8_enc(uint32_t cp, unsigned char *out)
+{
+    static const unsigned char lead[5] = {0, 0, 0xC0, 0xE0, 0xF0};
+    size_t len = cp < 0x80 ? 1 : cp < 0x800 ? 2 : cp < 0x10000 ? 3 : 4, k;
+    for (k = len - 1; k > 0; k--, cp >>= 6)
+        out[k] = (unsigned char)(0x80 | (cp & 0x3F));
+    out[0] = (unsigned char)(lead[len] | cp);
+    return len;
+}
+
+static inline int is_digit(unsigned char c) { return (unsigned char)(c - '0') < 10; }
+static inline int is_xdigit(unsigned char c) { return is_digit(c) || (unsigned char)((c | 0x20) - 'a') < 6; }
+/* The value of the hex digit c. */
+static inline unsigned xdigit_value(unsigned char c) { return is_digit(c) ? c - '0' : (c | 0x20) - 'a' + 10; }
 
 /* ---- html_native.c ------------------------------------------------------ */
 
@@ -58,8 +133,11 @@ NATIVE_INTERNAL int px_extract(const char *body, size_t n, px_scratch *sc, hx_bu
                                int64_t *n_blocks);
 NATIVE_INTERNAL void px_scratch_free(px_scratch *sc);
 
-/* ---- extract_native.c --------------------------------------------------- */
+/* ---- the exports (extract_native.c) ------------------------------------- */
 
+/* cffi parses what lies between the two markers: comments are fine there,
+ * preprocessor lines are not. */
+/* NATIVE_EXPORTS_BEGIN */
 typedef struct {
     char *text;
     size_t text_len;
@@ -67,7 +145,7 @@ typedef struct {
     size_t title_len;
 } xb_text;
 
-/* kinds[i] == -1: sniff the row's kind and write its code there */
+/* kinds[i] == XB_SNIFF: sniff the row's kind and write its code there */
 int xb_extract(const int64_t *offsets, const char *data, int64_t n, int8_t *kinds,
                const int64_t *min_len, const int64_t *max_link_pct, int64_t *text_off,
                int64_t *title_off, int32_t *n_blocks, int8_t *status, uint8_t *is_blank,
@@ -75,5 +153,6 @@ int xb_extract(const int64_t *offsets, const char *data, int64_t n, int8_t *kind
 void xb_free(void *p);
 void xb_sha256_hex(const char *s, size_t n, char *hex);
 void xb_sha256_hex_portable(const char *s, size_t n, char *hex);
+/* NATIVE_EXPORTS_END */
 
 #endif

@@ -15,10 +15,13 @@
 
 ``extract_batch`` is the only way into either kernel: ``extract.
 ExtractActor`` calls it once per batch (extraction and grading Stage A
-alike; once more for the batch's HTML rows that are not valid UTF-8,
-repaired), and ``html_extract.extract_html_fused`` as a one-row batch.
+alike), ``extract_html`` (pages repaired to valid UTF-8 first) once more
+for its invalid HTML rows and once per ``extract_html_fused`` call.
 
-``native.h`` declares what the three share.  They compile into one shared
+``native.h`` states once what the three share: the UTF-8 rules, and the
+export block that cffi parses (``exports``).  The kind and status codes
+come from ``classify.KINDS``, ``SNIFF`` and ``BATCH_STATUSES``, generated
+into the build's tables header.  The three compile into one shared
 library, once per host, on first use; cffi opens it in ABI mode.  One
 library means one cache key and one ``load()``: a worker process pays for
 one ``cc --version`` and one dlopen.  The library lives in
@@ -58,28 +61,17 @@ import cffi
 import numpy as np
 import pyarrow as pa
 
+from .. import payloads
+from . import classify, pdf_layout
+
 _HERE = os.path.dirname(os.path.abspath(__file__))
 SOURCES = tuple(os.path.join(_HERE, name)
                 for name in ("html_native.c", "pdf_native.c", "extract_native.c"))
 HEADER = os.path.join(_HERE, "native.h")
 CFLAGS = ("-O2", "-std=gnu99", "-fPIC", "-shared", "-Wall", "-Wextra", "-Werror")
-_CDEF = """
-typedef struct {
-    char *text;
-    size_t text_len;
-    char *title;
-    size_t title_len;
-} xb_text;
-int xb_extract(const int64_t *offsets, const char *data, int64_t n, int8_t *kinds,
-               const int64_t *min_len, const int64_t *max_link_pct, int64_t *text_off,
-               int64_t *title_off, int32_t *n_blocks, int8_t *status, uint8_t *is_blank,
-               uint8_t *flagged, char *sha_hex, xb_text *out);
-void xb_free(void *p);
-void xb_sha256_hex(const char *s, size_t n, char *hex);
-void xb_sha256_hex_portable(const char *s, size_t n, char *hex);
-"""
-# extract_native.c's status codes
+# extract_native.c's status codes: XB_S_<STATUS> is the index here
 BATCH_STATUSES = ("ok", "blank", "error")
+SNIFF = -1  # the kind code that has extract_native.c sniff the row's kind
 _I64 = 2**63
 # libraries a build leaves in the cache directory, the most recently used
 KEEP_LIBRARIES = 4
@@ -160,10 +152,7 @@ def _unicode_tables() -> str:
 
 def _payload_tables() -> str:
     """The layout constants of pdf_layout.py, the magic bytes and markers of
-    payloads.py and the sniff window of classify.py."""
-    from .. import payloads  # payloads (so classify) and pdf_layout import this module
-    from . import classify, pdf_layout
-
+    payloads.py, classify.py's sniff window and extract_native.c's codes."""
     return "".join([
         *(f"#define PX_{name} {getattr(pdf_layout, name)}\n"
           for name in ("MIN_GAP_X", "MIN_GAP_Y", "LINE_SLACK")),
@@ -174,6 +163,9 @@ def _payload_tables() -> str:
         f"#define XB_WEBP_TAG {_c_bytes(payloads.WEBP_TAG)}\n",
         f"#define XB_WEBP_TAG_AT {classify.WEBP_TAG_AT}\n",
         f"#define XB_HTML_WINDOW {classify.HTML_WINDOW}\n",
+        *(f"#define XB_{kind.upper()} {code}\n" for code, kind in enumerate(classify.KINDS)),
+        f"#define XB_SNIFF {SNIFF}\n",
+        *(f"#define XB_S_{status.upper()} {code}\n" for code, status in enumerate(BATCH_STATUSES)),
     ])
 
 
@@ -219,6 +211,12 @@ def _intact(so_path: str) -> bool:
     return len(data) > 32 and hashlib.sha256(data[:-32]).digest() == data[-32:]
 
 
+def exports() -> str:
+    """The declarations in ``native.h``'s export block, which cffi parses."""
+    with open(HEADER) as f:
+        return f.read().split("/* NATIVE_EXPORTS_BEGIN */")[1].split("/* NATIVE_EXPORTS_END */")[0]
+
+
 class BatchResult:
     """The outputs of one ``NativeKernel.extract_batch`` call: per-row
     numpy arrays the caller fills in for the flagged rows, and the text and
@@ -241,16 +239,16 @@ class NativeKernel:
 
     def __init__(self, so_path: str) -> None:
         self._ffi = ffi = cffi.FFI()
-        ffi.cdef(_CDEF)
+        ffi.cdef(exports())
         self._lib = ffi.dlopen(so_path)
 
     def extract_batch(self, html: pa.LargeBinaryArray, kinds: np.ndarray, min_len: np.ndarray,
                       max_link_pct: np.ndarray) -> BatchResult:
         """Extract and digest every row of ``html`` in one call of
         ``extract_native.c``.  ``kinds`` is an int8 array of indexes into
-        ``classify.KINDS``, or -1 where the kernel is to sniff the kind; it
-        writes the sniffed index there.  The thresholds are one int64 per
-        row; ``html`` has no nulls.  The flagged rows (images among them)
+        ``classify.KINDS``, or ``SNIFF`` where the kernel is to sniff the
+        kind; it writes the sniffed index there.  The thresholds are one
+        int64 per row; ``html`` has no nulls.  The flagged rows (images among them)
         are left empty for the caller."""
         n = len(html)
         min_len, max_link_pct = (np.ascontiguousarray(a, np.int64) for a in (min_len, max_link_pct))
@@ -278,6 +276,15 @@ class NativeKernel:
         res.text = self._strings(res.text_off, out.text, out.text_len)
         res.title = self._strings(res.title_off, out.title, out.title_len)
         return res
+
+    def extract_html(self, payloads: list[bytes], min_len: np.ndarray | list[int],
+                     max_link_pct: np.ndarray | list[int]) -> BatchResult:
+        """``extract_batch`` of HTML pages that need not be valid UTF-8:
+        each is repaired first by Python's ``decode("utf-8", "replace")``,
+        the one definition of the repair, so no row comes back flagged."""
+        html = pa.array([p.decode("utf-8", "replace").encode() for p in payloads], pa.large_binary())
+        kinds = np.full(len(html), classify.KINDS.index("html"), np.int8)
+        return self.extract_batch(html, kinds, min_len, max_link_pct)
 
     def _strings(self, offsets: np.ndarray, ptr, size: int) -> pa.LargeStringArray:
         """Strings at ``offsets`` into the kernel's malloc'd ``ptr``, which

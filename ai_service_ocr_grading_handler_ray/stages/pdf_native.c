@@ -10,7 +10,8 @@
  * integers in [0, 2^30) without sign, fraction or exponent, valid UTF-8,
  * the standard escapes with \uXXXX surrogate pairs combined.  Anything
  * else (floats, bools, negatives, big ints, other arities or types, lone
- * surrogates, raw control characters, trailing data) is declined:
+ * surrogates, raw control characters, ill-formed UTF-8 by native.h's
+ * utf8_len, trailing data) is declined:
  * xb_extract flags the row, and the caller runs the Python decoder and
  * layout on it instead.  Coordinates below 2^30 keep every end (x + w,
  * y + h) within int32, and non-negative boxes make both sides of every
@@ -84,8 +85,6 @@ static int eat(px_dec *d, unsigned char c)
     return 0;
 }
 
-static int is_digit(unsigned char c) { return c >= '0' && c <= '9'; }
-
 static int read_int(px_dec *d, int32_t *out)
 {
     int64_t v = 0;
@@ -118,66 +117,13 @@ static int hex4(px_dec *d, uint32_t *cp)
         return 0;
     for (k = 0; k < 4; k++) {
         unsigned char c = d->s[d->i + k];
-        if (c >= '0' && c <= '9')
-            v = v * 16 + (c - '0');
-        else if (c >= 'a' && c <= 'f')
-            v = v * 16 + (c - 'a' + 10);
-        else if (c >= 'A' && c <= 'F')
-            v = v * 16 + (c - 'A' + 10);
-        else
+        if (!is_xdigit(c))
             return 0;
+        v = v * 16 + xdigit_value(c);
     }
     d->i += 4;
     *cp = v;
     return 1;
-}
-
-static void put_utf8(char *o, size_t *k, uint32_t cp)
-{
-    if (cp < 0x80) {
-        o[(*k)++] = (char)cp;
-    } else if (cp < 0x800) {
-        o[(*k)++] = (char)(0xC0 | (cp >> 6));
-        o[(*k)++] = (char)(0x80 | (cp & 0x3F));
-    } else if (cp < 0x10000) {
-        o[(*k)++] = (char)(0xE0 | (cp >> 12));
-        o[(*k)++] = (char)(0x80 | ((cp >> 6) & 0x3F));
-        o[(*k)++] = (char)(0x80 | (cp & 0x3F));
-    } else {
-        o[(*k)++] = (char)(0xF0 | (cp >> 18));
-        o[(*k)++] = (char)(0x80 | ((cp >> 12) & 0x3F));
-        o[(*k)++] = (char)(0x80 | ((cp >> 6) & 0x3F));
-        o[(*k)++] = (char)(0x80 | (cp & 0x3F));
-    }
-}
-
-/* Length of the well-formed UTF-8 sequence at s[0..avail), 0 if none. */
-static size_t utf8_len(const unsigned char *s, size_t avail)
-{
-    unsigned char c = s[0], lo = 0x80, hi = 0xBF;
-    size_t len, k;
-    if (c >= 0xC2 && c <= 0xDF)
-        len = 2;
-    else if (c >= 0xE0 && c <= 0xEF)
-        len = 3;
-    else if (c >= 0xF0 && c <= 0xF4)
-        len = 4;
-    else
-        return 0;
-    if (c == 0xE0)
-        lo = 0xA0;
-    else if (c == 0xED)
-        hi = 0x9F; /* no encoded surrogates */
-    else if (c == 0xF0)
-        lo = 0x90;
-    else if (c == 0xF4)
-        hi = 0x8F;
-    if (avail < len || s[1] < lo || s[1] > hi)
-        return 0;
-    for (k = 2; k < len; k++)
-        if ((s[k] & 0xC0) != 0x80)
-            return 0;
-    return len;
 }
 
 /* A JSON string into d->chars.  A string's decoded length never exceeds
@@ -231,10 +177,7 @@ static int read_str(px_dec *d, uint32_t *off, uint32_t *len)
                     return 0;
                 cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
             }
-            put_utf8(o, &k, cp);
-        } else if (c < 0x80) {
-            o[k++] = (char)c;
-            d->i++;
+            k += utf8_enc(cp, (unsigned char *)o + k);
         } else {
             size_t m = utf8_len(d->s + d->i, d->n - d->i);
             if (!m)

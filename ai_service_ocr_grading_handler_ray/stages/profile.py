@@ -1118,7 +1118,7 @@ def ref_integrity_sql(
     pk_col: str,
     round_to: int = 6,
 ) -> str:
-    """DuckDB replay of :func:`ref_integrity` (single-generator)."""
+    """DuckDB replay of :func:`ref_integrity` (single-generator), zeros on an empty child."""
     return f"""
         WITH pk AS (SELECT DISTINCT {pk_col} AS k FROM {parent_table}
                     WHERE {pk_col} IS NOT NULL),
@@ -1127,10 +1127,10 @@ def ref_integrity_sql(
             FROM {child_table} c LEFT JOIN pk ON c.{fk_col} = pk.k
         )
         SELECT CAST(count(*) AS BIGINT) AS n_child,
-               CAST(sum(CASE WHEN fk IS NULL THEN 1 ELSE 0 END) AS BIGINT)
-                   AS n_null_fk,
-               CAST(sum(CASE WHEN fk IS NOT NULL AND hit IS NULL
-                             THEN 1 ELSE 0 END) AS BIGINT)
+               CAST(coalesce(sum(CASE WHEN fk IS NULL THEN 1 ELSE 0 END), 0)
+                    AS BIGINT) AS n_null_fk,
+               CAST(coalesce(sum(CASE WHEN fk IS NOT NULL AND hit IS NULL
+                                      THEN 1 ELSE 0 END), 0) AS BIGINT)
                    AS n_orphan_rows,
                CAST(count(DISTINCT CASE WHEN fk IS NOT NULL AND hit IS NULL
                                         THEN fk END) AS BIGINT)

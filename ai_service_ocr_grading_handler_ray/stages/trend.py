@@ -1887,7 +1887,7 @@ def runs_test_sql(
 ) -> str:
     """DuckDB replay of :func:`runs_test_daily` (single-generator):
     identical lower-median convention, tie drop, run counting and
-    z arithmetic."""
+    z arithmetic; no row when no day has an event, as the engine."""
     return f"""
         WITH daily AS (
             SELECT CAST({ts_col} AS DATE) AS d, count(*) AS c
@@ -1931,4 +1931,5 @@ def runs_test_sql(
                                  / (n1 + n2 - 1.0))
                      END, {round_to}) AS z
         FROM agg
+        WHERE (SELECT count(*) FROM daily) > 0
     """

@@ -225,6 +225,25 @@ def test_ref_integrity_empty_and_mismatched_parent(ray_session):
     assert r2["n_orphan_rows"] == 1 and r2["n_missing_keys"] == 1
 
 
+def test_ref_integrity_empty_child_equals_duckdb(ray_session):
+    """An empty child table: the engine and its DuckDB replay both count
+    zeros, with a NaN orphan share."""
+    import duckdb
+
+    from ai_service_ocr_grading_handler_ray.stages.profile import ref_integrity_sql
+
+    child = pa.table({"fk": pa.array([], type=pa.int64())})
+    parent = pa.table({"pk": pa.array([1, 2], type=pa.int64())})
+    got = ref_integrity(rd.from_arrow(child), rd.from_arrow(parent), fk_col="fk", pk_col="pk")
+    con = duckdb.connect()
+    con.register("child", child)
+    con.register("parent", parent)
+    want = con.sql(ref_integrity_sql(child_table="child", parent_table="parent",
+                                     fk_col="fk", pk_col="pk")).df()
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+    assert got.iloc[0]["n_null_fk"] == 0 and np.isnan(got.iloc[0]["orphan_share"])
+
+
 def test_ref_integrity_narrowing_parent_keys(ray_session):
     """Code-review r5b: an int64 parent key not representable in the
     int32 child type can never match — dropped, not crashed or

@@ -277,3 +277,22 @@ class TestRunsTest:
             pa.table({"ts": pa.array([], type=pa.timestamp("us"))})
         )
         assert len(runs_test_daily(ds)) == 0
+
+    def test_empty_equals_duckdb(self, ray_session):
+        """No events: the DuckDB replay has no row either."""
+        import duckdb
+        import pyarrow as pa
+        import ray.data as rd
+
+        from ai_service_ocr_grading_handler_ray.stages.trend import (
+            runs_test_daily,
+            runs_test_sql,
+        )
+
+        events = pa.table({"ts": pa.array([None], type=pa.timestamp("us"))})
+        con = duckdb.connect()
+        con.register("events", events)
+        want = con.sql(runs_test_sql(table="events", ts_col="ts")).df()
+        got = runs_test_daily(rd.from_arrow(events))
+        assert len(got) == len(want) == 0
+        assert list(got.columns) == list(want.columns)

@@ -284,7 +284,7 @@ def test_scalar_build_gives_the_same_bytes(tmp_path):
     payloads = pa.array([r[0] for r in rows], pa.large_binary())
     outputs = []
     for k in (kernel, scalar):
-        kinds = np.full(len(rows), -1, np.int8)  # sniffed
+        kinds = np.full(len(rows), native.SNIFF, np.int8)
         res = k.extract_batch(payloads, kinds, np.array([r[1] for r in rows]), np.array([r[2] for r in rows]))
         outputs.append([kinds, res.text, res.title, res.n_blocks, res.status, res.is_blank, res.flagged,
                         res.sha])
