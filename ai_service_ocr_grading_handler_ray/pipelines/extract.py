@@ -8,10 +8,11 @@ Engine equivalent of the reference's /generate dataflow (SURVEY.md §3.1):
                                              # row's payload kind itself
       → write_parquet / downstream scoring
 
-On a Parquet file list read by ``read_pages`` all of it is ONE Ray Data
-operator, ``ReadPages->MapBatches(extract_batch_task)->Write``, one task
-per ~16 MiB group of whole input files (at least one per CPU); other
-inputs run Stage A in 256-row batches (``extract_pages``).
+On any read of ``read_pages`` or ``build_pages_dataset`` all of it is ONE
+Ray Data operator, ``ReadPages->MapBatches(extract_batch_task)->Write``,
+one task per ~16 MiB group of whole input files (at least one per CPU);
+a dataset a caller built (in memory, or derived by a shuffle) is
+extracted in the batches its caller asks for (``extract_pages``).
 
 The whole thing is lazy and streams with backpressure; nothing
 materializes the full input.
@@ -19,27 +20,33 @@ materializes the full input.
 
 from __future__ import annotations
 
+import pyarrow.fs as pafs
 import ray.data as rd
 
-from ..sources.readers import grouped_read
+from ..schema import PAGES_SCHEMA
+from ..sources.readers import PagesDatasource, parquet_tables, read_source
 from ..stages import extract as _extract
 # kept importable here: perfbench/tracing.py patches this name
 from ..stages.classify import classify_payload_kind  # noqa: F401
 from ..synth import docs_to_pages
 
+# rows per Stage A batch of a dataset built by a shuffle (its blocks are
+# whole hash partitions): on a multi-core host, tasks of these run in parallel
+BUILT_BATCH_ROWS = 256
+
+
+def _documents_pages(fs: pafs.FileSystem, path: str):
+    """The documents table's decoder: each table of the file → its pages."""
+    for docs in parquet_tables(fs, path, columns=["doc_id", "text", "lang", "source"]):
+        yield docs_to_pages(docs)
+
 
 def build_pages_dataset(sf_dir: str) -> rd.Dataset:
-    """documents.parquet → synthetic pages table, synthesized inside Ray
-    tasks (distributed, streaming — the driver never holds the pages)."""
-    ds = rd.read_parquet(
-        f"{sf_dir}/documents.parquet",
-        columns=["doc_id", "text", "lang", "source"],
-    )
-    return ds.map_batches(docs_to_pages, batch_format="pyarrow", zero_copy_batch=True)
-
-
-# rows per Stage A batch on inputs that ``read_pages`` did not group
-FALLBACK_BATCH_ROWS = 256
+    """documents.parquet → synthetic pages table, synthesized inside the
+    read task (distributed, streaming — the driver never holds the
+    pages); ``input_files()`` lists the documents file."""
+    path = f"{sf_dir}/documents.parquet"
+    return read_source(PagesDatasource(path, decode=_documents_pages, schema=PAGES_SCHEMA))
 
 
 def extract_pages(pages: rd.Dataset, *, batch_size: int | None = None) -> rd.Dataset:
@@ -52,29 +59,19 @@ def extract_pages(pages: rd.Dataset, *, batch_size: int | None = None) -> rd.Dat
     faster end-to-end and better scaling than a fixed actor pool, since
     this extractor's state is cheap).
 
-    On a Parquet file list read by ``read_pages`` (``grouped_read``), no
-    batch size is set, so Ray fuses the read, the extract and a
-    ``write_parquet`` or writer ``map_batches`` that follows into ONE
-    operator with one task per read group of ~16 MiB of whole files
-    (``PagesDatasource.read_tasks``; at least one per CPU, so a multi-core
-    host still runs in parallel; N → 4N scaling is not measured).  Ray's
-    per-task cost (~10-20 ms per block read and again per file written,
-    on one core) is then paid once per group, not per ~500-row read
-    block.  The groups are the gain, not the fusion: fused at Ray's own
-    split (twelve read blocks), a seed-7 ``crawl_mix`` job took 0.62 s
-    against 0.37 s grouped (median of 10, one CPU).  Each batch is one
-    table the read yields, which ``PagesDatasource`` keeps under about
-    ``BATCH_BYTES``, so multi-MB rows still come a few at a time.
-
-    Any other input (jsonl, csv and WARC reads, in-memory datasets, or
-    anything derived by a further operator) runs in
-    ``FALLBACK_BATCH_ROWS`` batches, a task each: on a multi-core host
-    they are its parallelism (``build_pages_dataset`` reads one documents
-    file, which is one read task).  A row count in ``batch_size``
-    overrides both; a caller with multi-MB rows in an in-memory dataset
-    passes one."""
-    if batch_size is None and not grouped_read(pages):
-        batch_size = FALLBACK_BATCH_ROWS
+    Without a ``batch_size`` each block is one batch, so on a read of
+    ``read_pages`` (any format) or ``build_pages_dataset`` Ray fuses the
+    read, the extract and a ``write_parquet`` or writer ``map_batches``
+    after it into ONE operator with one task per read group of ~16 MiB of
+    whole files (``PagesDatasource.read_tasks``; at least one per CPU;
+    N → 4N scaling is not measured).  Ray's per-task cost (~10-20 ms per
+    block read and again per file written, on one core) is then paid once
+    per group: fused at Ray's own split (twelve read blocks), a seed-7
+    ``crawl_mix`` job took 0.62 s against 0.37 s grouped (median of 10,
+    one CPU).  Each batch is one table the read yields, under about
+    ``BATCH_BYTES``, so multi-MB rows still come a few at a time.  A
+    caller that extracts a dataset it built (in memory, or by a shuffle
+    such as ``dedup_pages_by_url``) passes a row count in ``batch_size``."""
     # looked up at call time, so a replaced extract_batch_task takes effect
     return pages.map_batches(
         _extract.extract_batch_task,
@@ -118,4 +115,6 @@ def flagship(sf_dir: str) -> rd.Dataset:
 def flagship_deduped(sf_dir: str) -> rd.Dataset:
     """Flagship with the north-rule url-dedup stage ahead of extraction
     (dedup before the expensive stage: never extract a url twice)."""
-    return extract_pages(dedup_pages_by_url(build_pages_dataset(sf_dir)))
+    return extract_pages(
+        dedup_pages_by_url(build_pages_dataset(sf_dir)), batch_size=BUILT_BATCH_ROWS
+    )

@@ -31,7 +31,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..stages.selection import perplexity_tiers
-from .extract import build_pages_dataset, extract_pages
+from .extract import BUILT_BATCH_ROWS, build_pages_dataset, extract_pages
 
 
 def tier_extract(pages: rd.Dataset, *, detect_lang: bool = True) -> rd.Dataset:
@@ -50,7 +50,7 @@ def tier_extract(pages: rd.Dataset, *, detect_lang: bool = True) -> rd.Dataset:
     from ..stages.text_analysis import add_language_id
     from .extract import dedup_pages_by_url
 
-    extracted = extract_pages(dedup_pages_by_url(pages))
+    extracted = extract_pages(dedup_pages_by_url(pages), batch_size=BUILT_BATCH_ROWS)
 
     def slim(t: pa.Table) -> pa.Table:
         keep = pc.and_(

@@ -12,11 +12,15 @@ capture a ``request`` (the outgoing HTTP request), a ``response``
 is the extracted text directly; ``revisit`` records mark unchanged
 re-crawls and carry no usable body.
 
-This module implements the full framing with the stdlib only (the
-container has no warcio): ``read_warc`` is ``ray.data.read_binary_files``
-→ one ``map_batches`` parse — each WARC file is one row of bytes, so the
-parse is embarrassingly parallel and streams file-by-file with the
-normal block backpressure.  Page-bearing records (``response`` with the
+This module implements the full framing with the stdlib only (no
+warcio), once, over a file object (``_page_records``): each header block,
+then ``Content-Length`` payload bytes, one record in memory at a time, so
+a ~1 GB gzipped (~5 GB raw) Common-Crawl segment streams.  ``read_warc``
+is the engine's one read (``PagesDatasource``) with the WARC decoder
+``warc_tables``: whole archives grouped into read tasks, each parsed
+inside its task into tables of at most ~``BATCH_BYTES`` of payloads;
+``parse_warc_records`` runs the same framing over bytes in memory.
+Page-bearing records (``response`` with the
 HTTP envelope STRIPPED — status + headers parsed, ``Transfer-Encoding:
 chunked`` bodies de-chunked — plus ``conversion``/``resource`` raw
 payloads) map onto the engine's page schema (url, warc_ts, html);
@@ -33,51 +37,20 @@ real Common-Crawl segments share its record layout.
 
 from __future__ import annotations
 
+import functools
 import gzip
+import io
+from collections.abc import Iterator
 from datetime import datetime, timezone
+from typing import BinaryIO
 
 import pyarrow as pa
+import pyarrow.fs as pafs
 import ray.data as rd
 
+from .readers import BATCH_BYTES, PagesDatasource, read_source
+
 _ISO = "%Y-%m-%dT%H:%M:%SZ"
-
-
-def _record_bytes(url: str, ts_us: int, payload: bytes) -> bytes:
-    dt = datetime.fromtimestamp(ts_us / 1_000_000, tz=timezone.utc)
-    head = (
-        "WARC/1.0\r\n"
-        "WARC-Type: response\r\n"
-        f"WARC-Target-URI: {url}\r\n"
-        f"WARC-Date: {dt.strftime(_ISO)}\r\n"
-        f"Content-Length: {len(payload)}\r\n"
-        "\r\n"
-    ).encode("utf-8")
-    return head + payload + b"\r\n\r\n"
-
-
-def pages_to_warc_bytes(
-    pages: pa.Table,
-    *,
-    url_col: str = "url",
-    ts_col: str = "warc_ts",
-    payload_col: str = "html",
-    compress: bool = True,
-) -> bytes:
-    """pages rows → one WARC-lite file body (gzip member per record when
-    ``compress``, byte-concatenated records otherwise)."""
-    urls = pages[url_col].to_pylist()
-    ts = (
-        pages[ts_col]
-        .to_numpy(zero_copy_only=False)
-        .astype("datetime64[us]")
-        .astype("int64")
-    )
-    payloads = pages[payload_col].to_pylist()
-    out = []
-    for u, t, p in zip(urls, ts, payloads):
-        rec = _record_bytes(u, int(t), p or b"")
-        out.append(gzip.compress(rec) if compress else rec)
-    return b"".join(out)
 
 
 def _parse_warc_date(date: str) -> int:
@@ -145,11 +118,19 @@ def _split_http_response(payload: bytes) -> tuple[int, str, bytes]:
 PAGE_RECORD_TYPES = ("response", "conversion", "resource")
 
 
-def parse_warc_records(
-    blob: bytes,
-) -> tuple[list[str], list[int], list[bytes], list[str], list[int], list[str]]:
-    """One WARC file body → (urls, ts_us, payloads, record_types,
-    http_statuses, mimes) for the page-bearing records.
+def _warc_stream(f: BinaryIO) -> BinaryIO:
+    """``f`` (seekable, at its start) as a buffered stream of WARC bytes,
+    gunzipped as it is read when it starts with the gzip magic
+    (``GzipFile`` reads multi-member streams as one concatenation)."""
+    gzipped = f.read(2) == b"\x1f\x8b"
+    f.seek(0)
+    return gzip.GzipFile(fileobj=f) if gzipped else io.BufferedReader(f)
+
+
+def _page_records(stream: BinaryIO) -> Iterator[tuple[str, int, bytes, str, int, str]]:
+    """(url, ts_us, payload, record_type, http_status, mime) of each
+    page-bearing record of an uncompressed WARC stream, one record in
+    memory at a time.
 
     Full framing: every record's WARC-Type is read; ``warcinfo`` /
     ``request`` / ``metadata`` / ``revisit`` records are walked over
@@ -159,47 +140,79 @@ def parse_warc_records(
     decoded); lite-form response records (raw payload, no HTTP head)
     pass through unchanged.  ``conversion``/``resource`` payloads are
     taken raw (WET-style extracted text or original resources).
-    Handles the gzipped form transparently (multi-member streams
-    decompress as one concatenation).  Content-Length framing —
-    payloads may contain anything, including 'WARC/1.0' literals."""
-    if blob[:2] == b"\x1f\x8b":
-        blob = gzip.decompress(blob)
-    urls: list[str] = []
-    ts_us: list[int] = []
-    payloads: list[bytes] = []
-    rtypes: list[str] = []
-    statuses: list[int] = []
-    mimes: list[str] = []
-    pos = 0
-    n = len(blob)
-    while pos < n:
-        end = blob.find(b"\r\n\r\n", pos)
-        if end < 0:
-            break
-        header = blob[pos:end].decode("utf-8", errors="replace")
+    Content-Length framing — payloads may contain anything, including
+    'WARC/1.0' literals; a payload cut short by the end of the stream is
+    kept as far as it goes, and a header block the stream ends inside is
+    dropped."""
+    while True:
+        head = b""
+        while not head.endswith(b"\r\n\r\n"):
+            line = stream.readline()
+            if not line:
+                return
+            head += line
         fields = {}
-        for line in header.split("\r\n")[1:]:
+        for line in head[:-4].decode("utf-8", errors="replace").split("\r\n")[1:]:
             k, _, v = line.partition(":")
             fields[k.strip().lower()] = v.strip()
-        length = int(fields.get("content-length", "0"))
-        body_start = end + 4
-        payload = blob[body_start : body_start + length]
-        pos = body_start + length + 4  # skip payload + record CRLFCRLF
+        payload = stream.read(max(0, int(fields.get("content-length", "0"))))
+        stream.read(4)  # the record's closing CRLF CRLF
         rtype = fields.get("warc-type", "response").lower()
         if rtype not in PAGE_RECORD_TYPES:
             continue
         status, mime = 0, fields.get("content-type", "")
         if rtype == "response" and mime.lower().startswith("application/http"):
             status, mime, payload = _split_http_response(payload)
-        urls.append(fields.get("warc-target-uri", ""))
-        ts_us.append(
-            _parse_warc_date(fields.get("warc-date", "1970-01-01T00:00:00Z"))
+        yield (
+            fields.get("warc-target-uri", ""),
+            _parse_warc_date(fields.get("warc-date", "1970-01-01T00:00:00Z")),
+            payload,
+            rtype,
+            status,
+            mime.split(";")[0].strip(),
         )
-        payloads.append(payload)
-        rtypes.append(rtype)
-        statuses.append(status)
-        mimes.append(mime.split(";")[0].strip())
-    return urls, ts_us, payloads, rtypes, statuses, mimes
+
+
+def parse_warc_records(
+    blob: bytes,
+) -> tuple[list[str], list[int], list[bytes], list[str], list[int], list[str]]:
+    """One WARC file body (gzipped or not) → (urls, ts_us, payloads,
+    record_types, http_statuses, mimes) for the page-bearing records
+    (``_page_records``)."""
+    columns: tuple[list, ...] = ([], [], [], [], [], [])
+    for record in _page_records(_warc_stream(io.BytesIO(blob))):
+        for column, value in zip(columns, record):
+            column.append(value)
+    return columns
+
+
+def _warc_schema(with_meta: bool) -> pa.Schema:
+    core = [("url", pa.string()), ("warc_ts", pa.timestamp("us")), ("html", pa.binary())]
+    meta = [("record_type", pa.string()), ("http_status", pa.int64()), ("mime", pa.string())]
+    return pa.schema(core + meta if with_meta else core)
+
+
+def warc_tables(fs: pafs.FileSystem, path: str, *, with_meta: bool = False) -> Iterator[pa.Table]:
+    """One WARC file → pages tables of at most ~``BATCH_BYTES`` of
+    payloads (one record more when a record alone is larger), streamed:
+    the file is read, and gunzipped, a record at a time."""
+    schema = _warc_schema(with_meta)
+    with fs.open_input_file(path) as f, _warc_stream(f) as stream:
+        records: list[tuple] = []
+        size = 0
+        for record in _page_records(stream):
+            if records and size + len(record[2]) > BATCH_BYTES:
+                yield _warc_table(records, schema)
+                records, size = [], 0
+            records.append(record)
+            size += len(record[2])
+        if records:
+            yield _warc_table(records, schema)
+
+
+def _warc_table(records: list[tuple], schema: pa.Schema) -> pa.Table:
+    columns = list(zip(*records))
+    return pa.table([pa.array(c, f.type) for c, f in zip(columns, schema)], schema=schema)
 
 
 def read_warc(
@@ -208,56 +221,46 @@ def read_warc(
     """WARC files → pages Dataset (url, warc_ts, html; plus
     record_type/http_status/mime under ``with_meta``).  Full framing:
     warcinfo/request/metadata/revisit records are skipped, response
-    records lose their HTTP envelope (see ``parse_warc_records``), so
-    real Common-Crawl segments ingest unmodified.  One binary-file row
-    per archive; the parse runs inside map_batches, so N archive files
-    parse with N-way parallelism and stream under backpressure — no
-    driver-side file handling.  ``include_paths`` adds each record's
-    archive file as a ``path`` column."""
-    raw = rd.read_binary_files(paths, include_paths=include_paths)
+    records lose their HTTP envelope (see ``_page_records``), so real
+    Common-Crawl segments ingest unmodified.  The engine's one read
+    (``PagesDatasource``): whole archives grouped into read tasks, each
+    archive streamed and parsed inside its task (``warc_tables``).
+    ``include_paths`` adds each record's archive file as a ``path``
+    column."""
+    decode = functools.partial(warc_tables, with_meta=with_meta)
+    return read_source(PagesDatasource(paths, include_paths, decode, _warc_schema(with_meta)))
 
-    def parse(t: pa.Table) -> pa.Table:
-        urls: list[str] = []
-        ts: list[int] = []
-        payloads: list[bytes] = []
-        rtypes: list[str] = []
-        statuses: list[int] = []
-        mimes: list[str] = []
-        files: list[str] = []
-        blob_paths = t["path"].to_pylist() if include_paths else [None] * len(t)
-        for blob, path in zip(t["bytes"].to_pylist(), blob_paths):
-            u, s, p, r, st, mi = parse_warc_records(blob)
-            files.extend([path] * len(u))
-            urls.extend(u)
-            ts.extend(s)
-            payloads.extend(p)
-            rtypes.extend(r)
-            statuses.extend(st)
-            mimes.extend(mi)
-        cols = {
-            "url": pa.array(urls, type=pa.string()),
-            "warc_ts": pa.array(ts, type=pa.timestamp("us")),
-            "html": pa.array(payloads, type=pa.binary()),
-        }
-        if with_meta:
-            cols["record_type"] = pa.array(rtypes, type=pa.string())
-            cols["http_status"] = pa.array(statuses, type=pa.int64())
-            cols["mime"] = pa.array(mimes, type=pa.string())
-        if include_paths:
-            cols["path"] = pa.array(files, type=pa.string())
-        return pa.table(cols)
 
-    return raw.map_batches(parse, batch_format="pyarrow")
+def _record(headers: list[tuple[str, str]], payload: bytes) -> bytes:
+    head = "WARC/1.0\r\n" + "".join(f"{k}: {v}\r\n" for k, v in headers)
+    head += f"Content-Length: {len(payload)}\r\n\r\n"
+    return head.encode("utf-8") + payload + b"\r\n\r\n"
+
+
+def _captures(pages: pa.Table) -> list[tuple[str, str, bytes]]:
+    """(url, WARC-Date, payload) of each row of ``pages``."""
+    ts = pages["warc_ts"].cast(pa.timestamp("us")).cast(pa.int64()).to_pylist()
+    dates = [datetime.fromtimestamp(t / 1_000_000, tz=timezone.utc).strftime(_ISO) for t in ts]
+    return list(zip(pages["url"].to_pylist(), dates,
+                    [p or b"" for p in pages["html"].to_pylist()]))
+
+
+def _segment(records: list[bytes], compress: bool) -> bytes:
+    return b"".join(gzip.compress(r) if compress else r for r in records)
+
+
+def pages_to_warc_bytes(pages: pa.Table, *, compress: bool = True) -> bytes:
+    """pages rows → one WARC-lite file body: one ``response`` record per
+    row whose payload is the raw ``html`` (gzip member per record when
+    ``compress``, byte-concatenated records otherwise)."""
+    return _segment([
+        _record([("WARC-Type", "response"), ("WARC-Target-URI", url), ("WARC-Date", date)], body)
+        for url, date, body in _captures(pages)
+    ], compress)
 
 
 def pages_to_full_warc_bytes(
-    pages: pa.Table,
-    *,
-    url_col: str = "url",
-    ts_col: str = "warc_ts",
-    payload_col: str = "html",
-    compress: bool = True,
-    chunked_every: int = 0,
+    pages: pa.Table, *, compress: bool = True, chunked_every: int = 0
 ) -> bytes:
     """pages rows → a FULL spec-shaped WARC segment: one leading
     ``warcinfo`` record, then per page a ``request`` record (HTTP GET)
@@ -267,74 +270,27 @@ def pages_to_full_warc_bytes(
     segment.  ``chunked_every=k`` > 0 emits every k-th response with a
     ``Transfer-Encoding: chunked`` body (exercises the de-chunker).
     Gzip member per record when ``compress``."""
-
-    def _rec(headers: list[tuple[str, str]], payload: bytes) -> bytes:
-        head = (
-            "WARC/1.0\r\n"
-            + "".join(f"{k}: {v}\r\n" for k, v in headers)
-            + f"Content-Length: {len(payload)}\r\n\r\n"
-        ).encode("utf-8")
-        return head + payload + b"\r\n\r\n"
-
-    urls = pages[url_col].to_pylist()
-    ts = (
-        pages[ts_col]
-        .to_numpy(zero_copy_only=False)
-        .astype("datetime64[us]")
-        .astype("int64")
-    )
-    payloads = pages[payload_col].to_pylist()
-    out = []
     info = b"software: graft-warc-fixture\r\nformat: WARC File Format 1.0\r\n"
-    recs = [
-        _rec(
-            [("WARC-Type", "warcinfo"),
-             ("WARC-Date", "2024-01-01T00:00:00Z"),
-             ("Content-Type", "application/warc-fields")],
-            info,
-        )
-    ]
-    for i, (u, t_us, p) in enumerate(zip(urls, ts, payloads)):
-        dt = datetime.fromtimestamp(int(t_us) / 1_000_000, tz=timezone.utc)
-        date = dt.strftime(_ISO)
-        body = p or b""
-        req = (
-            f"GET {u} HTTP/1.1\r\nHost: fixture\r\n"
-            "User-Agent: graft-fixture\r\n\r\n"
-        ).encode("latin-1")
-        recs.append(
-            _rec(
-                [("WARC-Type", "request"),
-                 ("WARC-Target-URI", u),
-                 ("WARC-Date", date),
-                 ("Content-Type", "application/http; msgtype=request")],
-                req,
-            )
-        )
-        if chunked_every and i % chunked_every == 0 and len(body):
+    records = [_record([("WARC-Type", "warcinfo"), ("WARC-Date", "2024-01-01T00:00:00Z"),
+                        ("Content-Type", "application/warc-fields")], info)]
+    for i, (url, date, body) in enumerate(_captures(pages)):
+        request = f"GET {url} HTTP/1.1\r\nHost: fixture\r\nUser-Agent: graft-fixture\r\n\r\n"
+        records.append(_record([
+            ("WARC-Type", "request"), ("WARC-Target-URI", url), ("WARC-Date", date),
+            ("Content-Type", "application/http; msgtype=request"),
+        ], request.encode("latin-1")))
+        if chunked_every and i % chunked_every == 0 and body:
             mid = max(1, len(body) // 2)
             http_body = (
                 f"{mid:x}\r\n".encode() + body[:mid] + b"\r\n"
-                + f"{len(body) - mid:x}\r\n".encode() + body[mid:]
-                + b"\r\n0\r\n\r\n"
+                + f"{len(body) - mid:x}\r\n".encode() + body[mid:] + b"\r\n0\r\n\r\n"
             )
-            te = "Transfer-Encoding: chunked\r\n"
+            framing = "Transfer-Encoding: chunked"
         else:
-            http_body = body
-            te = f"Content-Length: {len(body)}\r\n"
-        http = (
-            "HTTP/1.1 200 OK\r\n"
-            "Content-Type: text/html; charset=utf-8\r\n"
-            f"{te}\r\n"
-        ).encode("latin-1") + http_body
-        recs.append(
-            _rec(
-                [("WARC-Type", "response"),
-                 ("WARC-Target-URI", u),
-                 ("WARC-Date", date),
-                 ("Content-Type", "application/http; msgtype=response")],
-                http,
-            )
-        )
-    out = [gzip.compress(r) if compress else r for r in recs]
-    return b"".join(out)
+            http_body, framing = body, f"Content-Length: {len(body)}"
+        http = f"HTTP/1.1 200 OK\r\nContent-Type: text/html; charset=utf-8\r\n{framing}\r\n\r\n"
+        records.append(_record([
+            ("WARC-Type", "response"), ("WARC-Target-URI", url), ("WARC-Date", date),
+            ("Content-Type", "application/http; msgtype=response"),
+        ], http.encode("latin-1") + http_body))
+    return _segment(records, compress)

@@ -23,9 +23,11 @@ On restart, a partition with a committed manifest is skipped only when
   paths, so a relative glob run from another directory does not match; a
   path given twice is read once);
 - its ``input_stats`` (``[size, mtime_ns]`` per input, taken before the
-  read) equal the files' current ones, so an input rewritten in place is
-  re-extracted (a rewrite that keeps both size and mtime is not seen); a
-  manifest without the key does not match;
+  read, plus the SHA-256 of a Parquet input's footer bytes) equal the
+  files' current ones, so an input rewritten in place is re-extracted.
+  Unseen: a change that keeps size, mtime and (Parquet) the footer with
+  its row counts, offsets and column statistics.  A manifest without the
+  key, or without footer digests, does not match;
 - the Parquet footers of its ``part=NNNN`` files add up to its
   ``row_count`` (metadata only), so a deleted, truncated or unreadable
   committed file is re-extracted.
@@ -49,8 +51,8 @@ failed task attempt's output), check the Parquet footer row counts
 against the records, rename ``.tmp`` → ``part=NNNN``, write the manifest.
 On a multi-core host ``preserve_order`` holds back blocks that finish
 ahead of an earlier one; N → 4N scaling of this path is not measured.
-On Parquet inputs the read (``PagesDatasource``), extract and writer run
-as one fused task per ~16 MiB group of whole input files, so one
+The read (``PagesDatasource``, every input format), extract and writer
+run as one fused task per ~16 MiB group of whole input files, so one
 task can span several partitions, and no partition is committed before
 the task holding its last row has written it: a crash loses at most the
 in-flight tasks (on one CPU, a call over under 16 MiB of pages is one
@@ -99,8 +101,21 @@ def _manifest_path(out_dir: str, pid: int) -> str:
     return os.path.join(out_dir, "manifest", f"part-{pid:04d}.json")
 
 
-def _input_stats(files: list[str]) -> list[list[int]]:
-    return [[st.st_size, st.st_mtime_ns] for st in map(os.stat, files)]
+def _input_stats(files: list[str], input_format: str) -> list[list]:
+    stats = [[st.st_size, st.st_mtime_ns] for st in map(os.stat, files)]
+    if input_format == "parquet":
+        stats = [stat + [_footer_sha256(path)] for stat, path in zip(stats, files)]
+    return stats
+
+
+def _footer_sha256(path: str) -> str:
+    """SHA-256 of a Parquet file's footer: the ``len`` bytes before its
+    trailing ``<len: u32 LE>PAR1``."""
+    with open(path, "rb") as f:
+        f.seek(-8, os.SEEK_END)
+        n = int.from_bytes(f.read(4), "little")
+        f.seek(-8 - n, os.SEEK_END)
+        return hashlib.sha256(f.read(n)).hexdigest()
 
 
 def _rows_on_disk(out_dir: str, pid: int) -> int | None:
@@ -160,7 +175,7 @@ def run_partition(
     records: list[dict],
     since: float,
     *,
-    input_stats: list[list[int]],
+    input_stats: list[list],
 ) -> dict:
     """Commit one partition whose rows the execution has finished writing,
     atomically.  The manifest records lineage (input files and their
@@ -236,7 +251,7 @@ def resumable_extract(
     # sorted chunking shifts the pid→files mapping, and a file rewritten in
     # place holds other rows — and its committed files still hold its rows.
     # Reprocess on mismatch.
-    stats = [_input_stats(files) for files in parts]
+    stats = [_input_stats(files, input_format) for files in parts]
     pending = [
         (pid, files) for pid, files in enumerate(parts)
         if not (

@@ -317,7 +317,7 @@ def build_replicated_pages(sf_dir: str, replicate: int):
 
 def ensure_pages_input(sf_dir: str, replicate: int) -> str:
     """Materialize the synthetic pages table ONCE per (sf, replicate) —
-    untimed; the timed headline is read_parquet(pages) → extract → write,
+    untimed; the timed headline is read_pages(pages) → extract → write,
     matching the north-star metric (docs/sec over Common-Crawl-style
     Parquet), not synthesis."""
     tag = sf_dir.strip("/").replace("/", "_")
@@ -335,6 +335,14 @@ def ensure_pages_input(sf_dir: str, replicate: int) -> str:
     return cache
 
 
+def _pages_files(pages_dir: str) -> list[str]:
+    """The Parquet files of ``ensure_pages_input``'s directory, which also
+    holds its ``_COMPLETE`` marker."""
+    return sorted(
+        os.path.join(pages_dir, n) for n in os.listdir(pages_dir) if n.endswith(".parquet")
+    )
+
+
 def _median(xs: list[float]) -> float:
     xs = sorted(xs)
     n = len(xs)
@@ -342,24 +350,21 @@ def _median(xs: list[float]) -> float:
 
 
 def run_headline() -> tuple[float, int, dict]:
-    import ray.data as rd
-
     from ai_service_ocr_grading_handler_ray.pipelines.extract import extract_pages
+    from ai_service_ocr_grading_handler_ray.sources.readers import read_pages
 
     out_dir = f"/tmp/bench_out_{NUM_CPUS}"
     shutil.rmtree(out_dir, ignore_errors=True)
 
     pages_dir = ensure_pages_input(SF_DIR, REPLICATE)
     # warm the OS page cache so we measure compute+shuffle, not first read
-    files = sorted(
-        os.path.join(pages_dir, n) for n in os.listdir(pages_dir) if n.endswith(".parquet")
-    )
+    files = _pages_files(pages_dir)
     for path in files:
         with open(path, "rb") as f:
             f.read()
     # untimed warmup: spin up every Ray worker process + import the engine
     # in each, so the timed run measures steady-state throughput
-    warm = rd.read_parquet(files[: max(1, len(files) // 4)])
+    warm = read_pages(files[: max(1, len(files) // 4)])
     extract_pages(warm).count()
 
     times: list[float] = []
@@ -368,10 +373,7 @@ def run_headline() -> tuple[float, int, dict]:
     for _ in range(REPS):
         shutil.rmtree(out_dir, ignore_errors=True)
         t0 = time.perf_counter()
-        pages = rd.read_parquet(
-            pages_dir, columns=["url", "warc_ts", "html", "text", "lang"]
-        )
-        result = extract_pages(pages)
+        result = extract_pages(read_pages(files))
         result.write_parquet(out_dir)
         times.append(time.perf_counter() - t0)
         stages = _stage_stats(result) or stages
@@ -532,13 +534,11 @@ def stats() -> None:
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
-    import ray.data as rd
-
     from ai_service_ocr_grading_handler_ray.pipelines.extract import extract_pages
+    from ai_service_ocr_grading_handler_ray.sources.readers import read_pages
 
-    pages_dir = ensure_pages_input(SF_DIR, REPLICATE)
-    pages = rd.read_parquet(pages_dir, columns=["url", "warc_ts", "html", "text", "lang"])
-    res = extract_pages(pages).materialize()
+    files = _pages_files(ensure_pages_input(SF_DIR, REPLICATE))
+    res = extract_pages(read_pages(files)).materialize()
     print(res.stats())
     ray.shutdown()
 

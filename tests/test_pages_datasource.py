@@ -2,6 +2,7 @@
 reads: the same rows, in the same order, with the same column types."""
 
 import os
+import re
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -119,16 +120,26 @@ def test_groups_are_contiguous_runs_of_whole_files(pages_files):
         assert sum(t.metadata.num_rows for t in tasks) == 480
 
 
+def _read_operators(ds: rd.Dataset) -> list[str]:
+    return re.findall(r"^Operator \d+ (\S+):", ds.materialize().stats(), flags=re.M)
+
+
 def test_what_it_cannot_read_goes_to_rays_reader(tmp_path, pages_files):
-    """A directory of page files is read by the datasource; a nested
-    directory, a file that is not Parquet and a missing path are not."""
-    assert readers.grouped_read(read_pages(os.path.dirname(pages_files[0])))
+    """A directory of page files is read by the datasource; only a nested
+    directory goes to Ray's reader, and a file that is not Parquet and a
+    missing path raise."""
+    flat = read_pages(os.path.dirname(pages_files[0]))
+    assert sorted(flat.input_files()) == pages_files
+    assert _read_operators(flat) == ["ReadPages"]
     nested = tmp_path / "nested"
     (nested / "part=0").mkdir(parents=True)
     pq.write_table(pq.read_table(pages_files[0]), str(nested / "part=0" / "x.parquet"))
+    assert readers._hive_parquet(str(nested))
+    assert _read_operators(read_pages(str(nested)))[0].startswith("ReadParquet")
+    assert read_pages(str(nested)).count() == 80
     text = tmp_path / "notes.parquet"
     text.write_text("not parquet")
-    for paths in ([str(nested)], [str(text)], [str(tmp_path / "missing.parquet")]):
-        assert readers._pages_datasource(paths, False) is None
-    assert not readers.grouped_read(read_pages(str(nested)))
-    assert read_pages(str(nested)).count() == 80
+    with pytest.raises(pa.ArrowInvalid):
+        read_pages(str(text))
+    with pytest.raises(FileNotFoundError):
+        read_pages(str(tmp_path / "missing.parquet"))

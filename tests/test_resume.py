@@ -435,6 +435,28 @@ def _rewrite_input(files, out_dir):
     os.utime(files[2], ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
 
 
+def _rewrite_input_same_stat(files, out_dir):
+    """Input 2 rewritten twice: first uncompressed and without dictionary
+    pages (re-extracted as a rewrite), then with the last character of its
+    largest url changed, which keeps the file size, and its mtime put
+    back: only the footer's column statistics tell the two apart."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    def write(pages):
+        pq.write_table(pages, files[2], compression="NONE", use_dictionary=False)
+
+    pages = pq.read_table(files[2])
+    write(pages)
+    resumable_extract(files, out_dir, partition_size=1)
+    st = os.stat(files[2])
+    largest = pc.max(pages["url"]).as_py()
+    urls = [u[:-1] + chr(ord(u[-1]) + 1) if u == largest else u for u in pages["url"].to_pylist()]
+    write(pages.set_column(pages.column_names.index("url"), "url", pa.array(urls, pa.string())))
+    assert os.stat(files[2]).st_size == st.st_size
+    os.utime(files[2], ns=(st.st_atime_ns, st.st_mtime_ns))
+
+
 def _truncate_output(files, out_dir):
     part = os.path.join(out_dir, "part=0002")
     path = os.path.join(part, sorted(os.listdir(part))[0])
@@ -457,9 +479,11 @@ def _drop_input_stats(files, out_dir):
 
 
 @pytest.mark.parametrize(
-    "damage", [_rewrite_input, _truncate_output, _delete_output, _drop_input_stats],
-    ids=["input_rewritten_in_place", "output_truncated", "output_deleted",
-         "manifest_without_input_stats"],
+    "damage",
+    [_rewrite_input, _rewrite_input_same_stat, _truncate_output, _delete_output,
+     _drop_input_stats],
+    ids=["input_rewritten_in_place", "input_rewritten_same_stat", "output_truncated",
+         "output_deleted", "manifest_without_input_stats"],
 )
 def test_resume_reextracts_only_the_stale_partition(tmp_path, sf_dir, damage):
     """A committed partition whose input changed under the same path, whose

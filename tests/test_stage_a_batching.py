@@ -1,6 +1,7 @@
 """Stage A's unit of work: one fused read → extract → write task per
-~16 MiB group of whole input files (``PagesDatasource.read_tasks``), and
-the 256-row batches of every other input."""
+~16 MiB group of whole input files (``PagesDatasource.read_tasks``), in
+every input format, and the batches a caller asks for on a dataset it
+built."""
 
 import base64
 import json
@@ -14,10 +15,13 @@ import pytest
 import ray
 import ray.data as rd
 
-from ai_service_ocr_grading_handler_ray.pipelines import extract as pipeline
-from ai_service_ocr_grading_handler_ray.pipelines.extract import extract_pages
+from ai_service_ocr_grading_handler_ray.pipelines.extract import build_pages_dataset, extract_pages
 from ai_service_ocr_grading_handler_ray.sources import readers
-from ai_service_ocr_grading_handler_ray.sources.readers import PagesDatasource, grouped_read, read_pages
+from ai_service_ocr_grading_handler_ray.sources.readers import PagesDatasource, read_pages
+from ai_service_ocr_grading_handler_ray.sources.warc import (
+    pages_to_full_warc_bytes,
+    pages_to_warc_bytes,
+)
 from ai_service_ocr_grading_handler_ray.stages import extract as stage
 from ai_service_ocr_grading_handler_ray.synth import docs_to_pages
 
@@ -95,7 +99,47 @@ def test_grouped_read_runs_as_one_operator(tmp_path, pages_files):
     assert DataContext.get_current().target_max_block_size == before
 
 
-def _batch_rows(ds_of, monkeypatch, log):
+def _write_jsonl(table, path):
+    """``table`` as jsonl pages: base64 html, ISO ``warc_ts``."""
+    with open(path, "w") as f:
+        for r in table.to_pylist():
+            r["html"] = base64.b64encode(r["html"]).decode()
+            r["warc_ts"] = r["warc_ts"].isoformat()
+            f.write(json.dumps(r) + "\n")
+    return str(path)
+
+
+def _write_warc(table, path, full=False):
+    path.write_bytes((pages_to_full_warc_bytes if full else pages_to_warc_bytes)(table))
+    return str(path)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv", "warc", "warc_full", "documents"])
+def test_every_format_runs_as_one_operator(tmp_path, pages_files, sf_dir, fmt):
+    """A jsonl, csv or WARC job, and the flagship's documents read, plan
+    as the same ONE operator as a Parquet job: the file is decoded inside
+    the read task."""
+    t = pq.read_table(pages_files[0]).slice(0, 300)
+    if fmt == "documents":
+        pages = build_pages_dataset(sf_dir)
+    elif fmt == "jsonl":
+        pages = read_pages(_write_jsonl(t, tmp_path / "p.jsonl"), fmt="jsonl")
+    elif fmt == "csv":
+        df = t.to_pandas()
+        df["html"] = [base64.b64encode(h).decode() for h in df["html"]]
+        df.to_csv(tmp_path / "p.csv", index=False)
+        pages = read_pages(str(tmp_path / "p.csv"), fmt="csv")
+    else:
+        pages = read_pages(_write_warc(t, tmp_path / "p.warc.gz", fmt == "warc_full"), fmt="warc")
+    ds = extract_pages(pages)
+    ds.write_parquet(str(tmp_path / "out"))
+    ops = re.findall(r"^Operator \d+ (\S+):", ds.stats(), flags=re.M)
+    assert ops == ["ReadPages->MapBatches(extract_batch_task)->Write"], ds.stats()
+    written = pq.read_table(str(tmp_path / "out"))
+    assert written.num_rows == (500 if fmt == "documents" else 300)
+
+
+def _batch_rows(ds_of, monkeypatch, log, batch_size=None):
     """Rows each Stage A batch receives while ``ds_of()`` is extracted."""
     plain = stage.extract_batch_task
 
@@ -105,7 +149,7 @@ def _batch_rows(ds_of, monkeypatch, log):
         return plain(batch)
 
     monkeypatch.setattr(stage, "extract_batch_task", counting)
-    n = extract_pages(ds_of()).count()
+    n = extract_pages(ds_of(), batch_size=batch_size).count()
     monkeypatch.setattr(stage, "extract_batch_task", plain)
     with open(log) as f:
         rows = [int(line) for line in f]
@@ -114,7 +158,9 @@ def _batch_rows(ds_of, monkeypatch, log):
 
 
 def test_multi_mb_rows_get_at_most_8_per_batch(tmp_path, monkeypatch):
-    """40 rows of 2 MB in one file (one read task): 16 MiB holds 8."""
+    """40 rows of 2 MB in one file (one read task): 16 MiB holds 8, as
+    Parquet, jsonl (the decoded table sliced by its size) and WARC (the
+    archive streamed a batch at a time)."""
     html = b"<html><body><p>" + b"lorem ipsum " * 170_000 + b"</p></body></html>"
     row = pa.table({
         "url": ["https://big.example.com/p"],
@@ -128,25 +174,30 @@ def test_multi_mb_rows_get_at_most_8_per_batch(tmp_path, monkeypatch):
         for _ in range(40):
             w.write_table(row)
     assert PagesDatasource([path]).read_tasks() == 1
-    rows = _batch_rows(lambda: read_pages(path), monkeypatch, str(tmp_path / "log"))
-    assert sum(rows) == 40
-    assert max(rows) <= 8, rows
+    rows_40 = pa.concat_tables([row] * 40)
+    reads = {
+        "parquet": lambda: read_pages(path),
+        "jsonl": lambda: read_pages(_write_jsonl(rows_40, tmp_path / "big.jsonl"), fmt="jsonl"),
+        "warc": lambda: read_pages(_write_warc(rows_40, tmp_path / "big.warc.gz"), fmt="warc"),
+    }
+    for fmt, ds_of in reads.items():
+        rows = _batch_rows(ds_of, monkeypatch, str(tmp_path / f"log-{fmt}"))
+        assert sum(rows) == 40, fmt
+        assert max(rows) <= 8, (fmt, rows)
 
 
-def test_fallback_without_parquet_footers(tmp_path, pages_files, monkeypatch):
-    """jsonl (decoded by read_pages) and in-memory input are not grouped
-    reads, nor is a dataset derived from one: their 600 rows come in
-    batches of at most 256 (a task's last batch holds its remainder)."""
+def test_batch_size_comes_only_from_the_caller(tmp_path, pages_files, monkeypatch):
+    """No input falls back to fixed batches: a jsonl file's 600 rows (one
+    decoded table under 16 MiB) come as one batch, and an in-memory
+    dataset's blocks are its batches unless the caller passes a row
+    count, as the callers that extract a dataset they built do."""
     t = pq.read_table(pages_files[0]).slice(0, 600)
-    path = tmp_path / "p.jsonl"
-    with open(path, "w") as f:
-        for r in t.to_pylist():
-            r["html"] = base64.b64encode(r["html"]).decode()
-            r["warc_ts"] = r["warc_ts"].isoformat()
-            f.write(json.dumps(r) + "\n")
-    assert grouped_read(read_pages(pages_files))
-    assert not grouped_read(read_pages(pages_files).limit(10))
-    for i, ds_of in enumerate([lambda: read_pages(str(path), fmt="jsonl"), lambda: rd.from_arrow(t)]):
-        assert not grouped_read(ds_of())
-        rows = _batch_rows(ds_of, monkeypatch, str(tmp_path / f"log{i}"))
-        assert max(rows) == pipeline.FALLBACK_BATCH_ROWS, rows
+    path = _write_jsonl(t, tmp_path / "p.jsonl")
+    rows = _batch_rows(lambda: read_pages(path, fmt="jsonl"), monkeypatch, str(tmp_path / "log0"))
+    assert rows == [600]
+    rows = _batch_rows(lambda: rd.from_arrow(t), monkeypatch, str(tmp_path / "log1"))
+    assert rows == [600]
+    rows = _batch_rows(
+        lambda: rd.from_arrow(t), monkeypatch, str(tmp_path / "log2"), batch_size=256
+    )
+    assert rows == [256, 256, 88]
